@@ -1,9 +1,9 @@
-// Batch throughput bench: the deterministic multi-threaded batch driver
-// swept over worker-thread counts and batch sizes S. Per cell it reports
-// requests/sec, wall-clock latency percentiles, and the contention profile
-// (claim conflicts/wounds, speculation aborts/retries) -- plus the registry
-// digest and reciprocity audit, which must agree across thread counts for
-// the same S.
+// Batch throughput bench: the service driver in closed-batch mode (one
+// shard, every request admitted at t=0) swept over worker-thread counts
+// and batch sizes S. Per cell it reports requests/sec, wall-clock latency
+// percentiles, and the contention profile (claim conflicts/wounds,
+// speculation aborts/retries) -- plus the registry digest and reciprocity
+// audit, which must agree across thread counts for the same S.
 
 #include <cinttypes>
 #include <cstdio>
@@ -12,8 +12,8 @@
 
 #include "bench/bench_common.h"
 #include "core/policy_factory.h"
-#include "sim/batch_driver.h"
 #include "sim/scenario.h"
+#include "sim/sharded_service_driver.h"
 #include "util/csv.h"
 #include "util/flags.h"
 
@@ -38,7 +38,7 @@ int Run(int argc, char** argv) {
     return exit_code;
   }
 
-  std::printf("=== Batch driver: throughput and contention, "
+  std::printf("=== Closed batch: throughput and contention, "
               "threads x S ===\n");
   std::printf("users=%lld k=%lld master_seed=%lld workload_seed=%lld\n\n",
               static_cast<long long>(users), static_cast<long long>(k),
@@ -61,22 +61,22 @@ int Run(int argc, char** argv) {
   nela::bench::PrintRule(8);
   for (int64_t requests : {256ll, 1024ll}) {
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      nela::sim::BatchConfig config;
-      config.k = static_cast<uint32_t>(k);
-      config.requests = static_cast<uint32_t>(requests);
-      config.threads = threads;
-      config.master_seed = static_cast<uint64_t>(master_seed);
-      config.workload_seed = static_cast<uint64_t>(workload_seed);
-      nela::sim::BatchDriver driver(scenario->dataset, scenario->graph,
-                                    nela::core::MakeSecurePolicyFactory(params),
-                                    config);
+      nela::sim::ShardedServiceConfig config;
+      config.service.k = static_cast<uint32_t>(k);
+      config.service.requests = static_cast<uint32_t>(requests);
+      config.service.threads = threads;
+      config.service.master_seed = static_cast<uint64_t>(master_seed);
+      config.service.workload_seed = static_cast<uint64_t>(workload_seed);
+      nela::sim::ShardedServiceDriver driver(
+          scenario->dataset, scenario->graph,
+          nela::core::MakeSecurePolicyFactory(params), config);
       auto result = driver.Run();
       if (!result.ok()) {
         std::fprintf(stderr, "batch failed: %s\n",
                      result.status().ToString().c_str());
         return 1;
       }
-      const nela::sim::BatchResult& r = result.value();
+      const nela::sim::ServiceResult& r = result.value().service;
       if (!r.reciprocity_ok) {
         std::fprintf(stderr,
                      "reciprocity violated at threads=%u S=%lld -- a user "

@@ -1,10 +1,11 @@
 // Recovery and admission bench for the crash-durable anonymizer service.
 //
 // Part 1 sweeps WAL length (via request count) with and without
-// checkpointing and measures cold recovery: wall time to rebuild the
-// registry from disk, records replayed vs skipped, and digest equality
-// with the live pre-shutdown registry (a failed equality is a bench
-// error, not a data point).
+// checkpointing on a single-shard service (one stream under
+// <scratch>/shard-0) and measures cold recovery: wall time to rebuild the
+// registry from disk (RecoverAllShards + AssembleRegistry), records
+// replayed vs skipped, and digest equality with the live pre-shutdown
+// registry (a failed equality is a bench error, not a data point).
 //
 // Part 2 sweeps offered load around the sustainable rate (threads /
 // service_time) and reports the admission outcome mix: admitted fraction,
@@ -23,9 +24,9 @@
 
 #include "bench/bench_common.h"
 #include "core/policy_factory.h"
-#include "durability/recovery.h"
+#include "durability/sharded_recovery.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
+#include "sim/sharded_service_driver.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/timer.h"
@@ -158,18 +159,15 @@ int Run(int argc, char** argv) {
       std::filesystem::remove_all(scratch, ec);
       std::filesystem::create_directories(scratch, ec);
 
-      nela::sim::ServiceConfig config;
-      config.k = static_cast<uint32_t>(k);
-      config.requests = requests;
-      config.threads = static_cast<uint32_t>(threads);
-      config.master_seed = static_cast<uint64_t>(master_seed);
-      config.workload_seed = static_cast<uint64_t>(workload_seed);
-      config.wal_path = scratch + "/wal.log";
-      if (interval > 0) {
-        config.checkpoint_dir = scratch;
-        config.checkpoint_interval = interval;
-      }
-      nela::sim::ServiceDriver driver(
+      nela::sim::ShardedServiceConfig config;
+      config.service.k = static_cast<uint32_t>(k);
+      config.service.requests = requests;
+      config.service.threads = static_cast<uint32_t>(threads);
+      config.service.master_seed = static_cast<uint64_t>(master_seed);
+      config.service.workload_seed = static_cast<uint64_t>(workload_seed);
+      config.service.checkpoint_interval = interval;
+      config.durability_dir = scratch;
+      nela::sim::ShardedServiceDriver driver(
           scenario->dataset, scenario->graph,
           nela::core::MakeSecurePolicyFactory(params), config);
       const nela::util::WallTimer run_timer;
@@ -180,22 +178,24 @@ int Run(int argc, char** argv) {
         return 1;
       }
       const double run_seconds = run_timer.ElapsedSeconds();
+      const nela::sim::ServiceResult& live = result.value().service;
 
-      nela::durability::RecoveryConfig recovery_config;
-      recovery_config.wal_path = config.wal_path;
-      recovery_config.checkpoint_dir = config.checkpoint_dir;
-      recovery_config.user_count = static_cast<uint32_t>(users);
-      nela::durability::RecoveryManager manager(recovery_config);
       const nela::util::WallTimer recovery_timer;
-      auto recovered = manager.Recover();
-      const double recovery_seconds = recovery_timer.ElapsedSeconds();
+      auto recovered = nela::durability::RecoverAllShards(
+          scratch, config.shards, static_cast<uint32_t>(users));
       if (!recovered.ok()) {
         std::fprintf(stderr, "recovery failed: %s\n",
                      recovered.status().ToString().c_str());
         return 1;
       }
-      if (recovered.value().registry->Digest() !=
-          result.value().registry_digest) {
+      auto registry = nela::durability::AssembleRegistry(recovered.value());
+      const double recovery_seconds = recovery_timer.ElapsedSeconds();
+      if (!registry.ok()) {
+        std::fprintf(stderr, "registry assembly failed: %s\n",
+                     registry.status().ToString().c_str());
+        return 1;
+      }
+      if (registry.value()->Digest() != live.registry_digest) {
         std::fprintf(stderr,
                      "recovered digest diverged from the live registry at "
                      "requests=%u interval=%u\n",
@@ -206,10 +206,12 @@ int Run(int argc, char** argv) {
       RecoverySample sample;
       sample.requests = requests;
       sample.checkpoint_interval = interval;
-      sample.wal_records = result.value().wal_records;
-      sample.checkpoints_written = result.value().checkpoints_written;
-      sample.records_replayed = recovered.value().records_replayed;
-      sample.records_skipped = recovered.value().records_skipped;
+      const nela::durability::ShardRecoveredState& stream =
+          recovered.value().shards[0];
+      sample.wal_records = live.wal_records;
+      sample.checkpoints_written = live.checkpoints_written;
+      sample.records_replayed = stream.records_replayed;
+      sample.records_skipped = stream.records_skipped;
       sample.run_seconds = run_seconds;
       sample.recovery_seconds = recovery_seconds;
       recovery_samples.push_back(sample);
@@ -245,7 +247,8 @@ int Run(int argc, char** argv) {
                          "shed_frac", "p99_wait_ms"});
   nela::bench::PrintRule(6);
   for (double multiplier : {0.5, 1.0, 2.0, 4.0}) {
-    nela::sim::ServiceConfig config;
+    nela::sim::ShardedServiceConfig sharded;
+    nela::sim::ServiceConfig& config = sharded.service;
     config.k = static_cast<uint32_t>(k);
     config.requests = 512;
     config.threads = static_cast<uint32_t>(threads);
@@ -255,16 +258,16 @@ int Run(int argc, char** argv) {
     config.service_time_ms = service_time_ms;
     config.queue_capacity = 32;
     config.deadline_ms = 8.0;
-    nela::sim::ServiceDriver driver(
+    nela::sim::ShardedServiceDriver driver(
         scenario->dataset, scenario->graph,
-        nela::core::MakeSecurePolicyFactory(params), config);
+        nela::core::MakeSecurePolicyFactory(params), sharded);
     auto result = driver.Run();
     if (!result.ok()) {
       std::fprintf(stderr, "service run failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
-    const nela::sim::ServiceResult& r = result.value();
+    const nela::sim::ServiceResult& r = result.value().service;
 
     ShedSample sample;
     sample.load_multiplier = multiplier;

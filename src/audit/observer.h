@@ -73,7 +73,7 @@ struct ObserverConfig {
 };
 
 // Thread-safe: the tap is invoked outside the network mutex, and the
-// observer serializes its own state, so batch-driver workers may share a
+// observer serializes its own state, so service-driver workers may share a
 // tapped network.
 class AdversaryObserver : public net::TrafficTap {
  public:

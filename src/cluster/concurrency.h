@@ -41,8 +41,9 @@ using Ticket = uint64_t;
 inline constexpr Ticket kNoTicket = 0;
 
 // Thread safety: every operation is atomic under an internal mutex, so
-// genuinely parallel requests (sim::BatchDriver worker threads) and the
-// single-threaded round-robin simulation share the same coordinator code.
+// genuinely parallel requests (sim::ShardedServiceDriver worker threads)
+// and the single-threaded round-robin simulation share the same
+// coordinator code.
 class ClaimCoordinator {
  public:
   explicit ClaimCoordinator(uint32_t user_count);
@@ -95,7 +96,7 @@ class ClaimCoordinator {
   }
 
   // Names the coordinator lock for cross-class ordering annotations: the
-  // sharded service driver acquires its run lock strictly before any
+  // service driver acquires its run lock strictly before any
   // shard's coordinator lock (see sim/sharded_service_driver.cc).
   util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 

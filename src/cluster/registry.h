@@ -40,13 +40,13 @@ struct ClusterInfo {
 };
 
 // Thread safety: mutations (Register, SetRegion) and the scalar accessors
-// are serialized on an internal mutex, so concurrent requests
-// (sim::BatchDriver workers) may share a registry. Clusters live in a deque,
+// are serialized on an internal mutex, so concurrent requests (the service
+// driver's workers) may share a registry. Clusters live in a deque,
 // which keeps info() references stable across later Register calls --
 // membership is immutable once registered, so reading a committed cluster's
 // members never races (the region field is published under the mutex and
 // must be read through `info(id).region` only after a reuse decision made
-// under external coordination, e.g. the batch driver's commit turnstile).
+// under external coordination, e.g. the service driver's commit turnstile).
 // active() returns a reference into live state and is only safe while no
 // concurrent Register runs; speculative concurrent runs use Snapshot().
 class Registry {
@@ -143,7 +143,7 @@ class Registry {
   uint64_t Digest() const EXCLUDES(mu_);
 
   // Names the registry lock so other classes can order their own locks
-  // against it (durability::DurableRegistry declares ACQUIRED_BEFORE
+  // against it (durability::ShardedDurableRegistry declares ACQUIRED_BEFORE
   // relations through this accessor).
   util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 
@@ -155,7 +155,7 @@ class Registry {
   // Deliberately unguarded: active() hands out a reference under the
   // documented single-writer contract above, so the member cannot carry
   // GUARDED_BY without outlawing that API. Concurrent readers use
-  // Snapshot(); the batch driver's turnstile serializes the writer.
+  // Snapshot(); the service driver's turnstile serializes the writer.
   std::vector<bool> active_;
   std::deque<ClusterInfo> clusters_ GUARDED_BY(mu_);
   uint32_t clustered_users_ GUARDED_BY(mu_) = 0;

@@ -2,8 +2,9 @@
 //
 // Stages are thin, stateless adapters over the subsystems they drive; they
 // are cheap to construct per request, and both CloakingEngine and
-// sim::BatchDriver assemble their pipelines from these same classes so a
-// request is invoked, traced, and degraded identically in either driver.
+// sim::ShardedServiceDriver assemble their pipelines from these same
+// classes so a request is invoked, traced, and degraded identically in
+// either driver.
 
 #ifndef NELA_CORE_STAGES_H_
 #define NELA_CORE_STAGES_H_
@@ -105,10 +106,10 @@ class SecureBoundStage : public Stage {
   bounding::RegionBoundingResult bounded_;
 };
 
-// Route for the region write performed by PublishStage. The engine and the
-// batch driver write straight into the registry; the service driver
-// interposes its write-ahead log here (durability must not leak into core,
-// so the indirection lives on this side of the boundary).
+// Route for the region write performed by PublishStage. The engine and a
+// non-durable service run write straight into the registry; a durable
+// service run interposes its write-ahead log here (durability must not leak
+// into core, so the indirection lives on this side of the boundary).
 class RegionWriter {
  public:
   virtual ~RegionWriter() = default;

@@ -10,9 +10,7 @@ namespace nela::durability {
 
 namespace {
 
-// "NELACKP1" as little-endian bytes.
-constexpr uint64_t kCheckpointMagic = 0x31504b43414c454eull;
-// "NELACKP2": the per-shard-slice checkpoint format.
+// "NELACKP2" as little-endian bytes: the per-shard-slice checkpoint format.
 constexpr uint64_t kShardCheckpointMagic = 0x32504b43414c454eull;
 
 void PutU8(std::string* out, uint8_t value) {
@@ -84,33 +82,6 @@ std::string CheckpointPath(const std::string& dir, uint64_t seq) {
   return dir + "/checkpoint-" + std::to_string(seq) + ".ckpt";
 }
 
-std::string EncodeCheckpoint(const cluster::Registry& registry,
-                             uint64_t covered_lsn) {
-  std::string body;
-  PutU64(&body, kCheckpointMagic);
-  PutU32(&body, registry.user_count());
-  PutU64(&body, covered_lsn);
-  const uint32_t cluster_count = registry.cluster_count();
-  PutU32(&body, cluster_count);
-  for (cluster::ClusterId id = 0; id < cluster_count; ++id) {
-    const cluster::ClusterInfo& info = registry.info(id);
-    PutU32(&body, static_cast<uint32_t>(info.members.size()));
-    for (graph::VertexId member : info.members) PutU32(&body, member);
-    PutU64(&body, util::DoubleBits(info.connectivity));
-    PutU8(&body, info.valid ? 1 : 0);
-    const std::optional<geo::Rect> region = registry.RegionOf(id);
-    PutU8(&body, region.has_value() ? 1 : 0);
-    if (region.has_value()) {
-      PutU64(&body, util::DoubleBits(region->min_x()));
-      PutU64(&body, util::DoubleBits(region->min_y()));
-      PutU64(&body, util::DoubleBits(region->max_x()));
-      PutU64(&body, util::DoubleBits(region->max_y()));
-    }
-  }
-  PutU64(&body, util::FnvHashBytes(body.data(), body.size()));
-  return body;
-}
-
 util::Status WriteCheckpointFile(const std::string& path,
                                  const std::string& encoded) {
   return WriteBytes(path, encoded);
@@ -122,90 +93,6 @@ util::Status WriteTornCheckpointFile(const std::string& path,
   std::string torn = encoded;
   if (keep_bytes < torn.size()) torn.resize(keep_bytes);
   return WriteBytes(path, torn);
-}
-
-util::Result<CheckpointImage> ReadCheckpoint(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::NotFoundError("cannot open checkpoint file: " + path);
-  }
-  std::string contents;
-  char buffer[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    contents.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return util::UnavailableError("read error on checkpoint file: " + path);
-  }
-
-  if (contents.size() < 8) {
-    return util::InvalidArgumentError("checkpoint file too small: " + path);
-  }
-  const size_t body_size = contents.size() - 8;
-  Reader trailer{reinterpret_cast<const unsigned char*>(contents.data()),
-                 contents.size(), body_size};
-  uint64_t stored_checksum = 0;
-  (void)trailer.TakeU64(&stored_checksum);
-  if (util::FnvHashBytes(contents.data(), body_size) != stored_checksum) {
-    return util::InvalidArgumentError(
-        "checkpoint checksum mismatch (torn write): " + path);
-  }
-
-  Reader reader{reinterpret_cast<const unsigned char*>(contents.data()),
-                body_size};
-  CheckpointImage image;
-  uint64_t magic = 0;
-  uint32_t cluster_count = 0;
-  if (!reader.TakeU64(&magic) || magic != kCheckpointMagic ||
-      !reader.TakeU32(&image.user_count) ||
-      !reader.TakeU64(&image.covered_lsn) || !reader.TakeU32(&cluster_count)) {
-    return util::InvalidArgumentError("malformed checkpoint header: " + path);
-  }
-  image.clusters.reserve(cluster_count);
-  for (uint32_t i = 0; i < cluster_count; ++i) {
-    cluster::ClusterInfo info;
-    uint32_t member_count = 0;
-    if (!reader.TakeU32(&member_count)) {
-      return util::InvalidArgumentError("malformed checkpoint body: " + path);
-    }
-    info.members.reserve(member_count);
-    for (uint32_t m = 0; m < member_count; ++m) {
-      uint32_t member = 0;
-      if (!reader.TakeU32(&member)) {
-        return util::InvalidArgumentError("malformed checkpoint body: " +
-                                          path);
-      }
-      info.members.push_back(member);
-    }
-    uint64_t connectivity_bits = 0;
-    uint8_t valid = 0;
-    uint8_t has_region = 0;
-    if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid) ||
-        !reader.TakeU8(&has_region)) {
-      return util::InvalidArgumentError("malformed checkpoint body: " + path);
-    }
-    info.connectivity = util::DoubleFromBits(connectivity_bits);
-    info.valid = valid != 0;
-    if (has_region != 0) {
-      uint64_t bits[4] = {0, 0, 0, 0};
-      if (!reader.TakeU64(&bits[0]) || !reader.TakeU64(&bits[1]) ||
-          !reader.TakeU64(&bits[2]) || !reader.TakeU64(&bits[3])) {
-        return util::InvalidArgumentError("malformed checkpoint body: " +
-                                          path);
-      }
-      info.region = geo::Rect(
-          util::DoubleFromBits(bits[0]), util::DoubleFromBits(bits[1]),
-          util::DoubleFromBits(bits[2]), util::DoubleFromBits(bits[3]));
-    }
-    image.clusters.push_back(std::move(info));
-  }
-  if (reader.pos != body_size) {
-    return util::InvalidArgumentError("trailing bytes in checkpoint: " + path);
-  }
-  return image;
 }
 
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image) {
@@ -315,19 +202,6 @@ util::Result<ShardCheckpointImage> ReadShardCheckpoint(
     return util::InvalidArgumentError("trailing bytes in checkpoint: " + path);
   }
   return image;
-}
-
-util::Result<std::unique_ptr<cluster::Registry>> RestoreRegistry(
-    const CheckpointImage& image) {
-  auto registry = std::make_unique<cluster::Registry>(image.user_count);
-  for (const cluster::ClusterInfo& info : image.clusters) {
-    auto id = registry->Register(info.members, info.connectivity, info.valid);
-    if (!id.ok()) return id.status();
-    if (info.region.has_value()) {
-      registry->SetRegion(id.value(), *info.region);
-    }
-  }
-  return registry;
 }
 
 }  // namespace nela::durability

@@ -1,39 +1,37 @@
-// Checkpoint snapshots of the cluster registry.
+// Checkpoint snapshots of one shard's registry slice.
 //
-// A checkpoint is a whole-registry image taken at a known log position
-// (`covered_lsn`): recovery restores the newest intact checkpoint and then
-// replays only WAL records with lsn > covered_lsn, bounding replay work by
-// the checkpoint cadence rather than the total history length.
+// A checkpoint is an image of the clusters one shard's WAL stream logged,
+// taken at a known position of that stream (`covered_lsn`): recovery
+// restores the newest intact checkpoint and then replays only WAL records
+// with lsn > covered_lsn, bounding replay work by the checkpoint cadence
+// rather than the total history length.
 //
 // On-disk format, all integers little-endian:
 //
-//   file := [u64 magic][u32 user_count][u64 covered_lsn][u32 cluster_count]
-//           cluster_count x cluster [u64 fnv1a(everything before it)]
-//   cluster := [u32 n][n x u32 member][u64 connectivity_bits][u8 valid]
+//   file := [u64 magic "NELACKP2"][u32 user_count][u64 covered_lsn]
+//           [u32 cluster_count] cluster_count x cluster
+//           [u64 fnv1a(everything before it)]
+//   cluster := [u32 global_id][u32 n][n x u32 member]
+//              [u64 connectivity_bits][u8 valid]
 //              [u8 has_region][has_region ? 4 x u64 rect bits : nothing]
 //
 // Files are written whole and named checkpoint-<seq>.ckpt with a strictly
 // increasing sequence number; a crash mid-write (ProcessCrashPoint::
 // kMidCheckpoint) leaves a file whose trailer checksum cannot match, which
-// ReadCheckpoint rejects so recovery falls back to the previous checkpoint.
+// ReadShardCheckpoint rejects so recovery falls back to the previous
+// checkpoint.
 
 #ifndef NELA_DURABILITY_CHECKPOINT_H_
 #define NELA_DURABILITY_CHECKPOINT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/registry.h"
 #include "util/status.h"
 
 namespace nela::durability {
-
-struct CheckpointImage {
-  uint32_t user_count = 0;
-  uint64_t covered_lsn = 0;
-  std::vector<cluster::ClusterInfo> clusters;
-};
 
 // One cluster of a per-shard checkpoint: shard streams see only the
 // clusters their shard's commits logged, so stream position cannot imply
@@ -55,42 +53,26 @@ struct ShardCheckpointImage {
 // Path of checkpoint number `seq` inside `dir`.
 std::string CheckpointPath(const std::string& dir, uint64_t seq);
 
-// Serializes the registry (all clusters, regions included) at the given
-// covered log position. The caller must hold whatever lock serializes
-// registry mutations (DurableRegistry does) so the image is consistent
-// with covered_lsn.
-std::string EncodeCheckpoint(const cluster::Registry& registry,
-                             uint64_t covered_lsn);
-
 // Writes `encoded` to `path` in full and flushes.
 [[nodiscard]] util::Status WriteCheckpointFile(const std::string& path,
                                                const std::string& encoded);
 
 // Chaos hook for kMidCheckpoint: writes only the first `keep_bytes` bytes,
 // simulating a crash mid-checkpoint. The resulting file must be rejected
-// by ReadCheckpoint.
+// by ReadShardCheckpoint.
 [[nodiscard]] util::Status WriteTornCheckpointFile(const std::string& path,
                                                    const std::string& encoded,
                                                    size_t keep_bytes);
 
-// Parses and checksum-verifies one checkpoint file.
-util::Result<CheckpointImage> ReadCheckpoint(const std::string& path);
-
-// Serializes one shard's slice (distinct magic from whole-registry
-// checkpoints, same framing/trailer-checksum discipline; write with
-// WriteCheckpointFile / WriteTornCheckpointFile).
+// Serializes one shard's slice (write with WriteCheckpointFile /
+// WriteTornCheckpointFile). The caller must hold whatever lock serializes
+// the slice's mutations (ShardedDurableRegistry does) so the image is
+// consistent with covered_lsn.
 std::string EncodeShardCheckpoint(const ShardCheckpointImage& image);
 
 // Parses and checksum-verifies one per-shard checkpoint file.
 util::Result<ShardCheckpointImage> ReadShardCheckpoint(
     const std::string& path);
-
-// Rebuilds a registry from a checkpoint image through the public Register/
-// SetRegion API (cluster ids are assigned sequentially, matching the
-// image's order), so the restored registry is indistinguishable from one
-// that executed the original history.
-util::Result<std::unique_ptr<cluster::Registry>> RestoreRegistry(
-    const CheckpointImage& image);
 
 }  // namespace nela::durability
 

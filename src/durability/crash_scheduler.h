@@ -4,7 +4,7 @@
 // its commit path (see net::ProcessCrashPoint). Hits are counted per point;
 // when a scheduled event's count is reached the scheduler "fires" and the
 // whole service halts as if the process died -- in-flight requests abort,
-// and only the WAL + checkpoints survive for RecoveryManager. Because hits
+// and only the WAL + checkpoints survive for RecoverAllShards. Because hits
 // are tied to the serialized commit sequence (not wall time), the same
 // FaultPlan crashes at the same logical instant on every run and at every
 // thread count.

@@ -1,12 +1,12 @@
-// WAL-then-apply wrapper for the sharded service: K independent WAL
-// streams, one per shard, in front of the single authoritative registry.
+// WAL-then-apply wrapper for the service: K >= 1 independent WAL streams,
+// one per shard, in front of the single authoritative registry.
 //
 // Stream discipline: one turnstile commit -- however many clusters it
 // registers, and whichever shards own them -- is appended as ONE
 // kShardRegisterBatch record to exactly one stream: the *coordinating*
 // shard's (the home shard of the request that committed). That keeps the
-// single-stream atomicity property per stream (a torn tail hides whole
-// commits, never partial ones) without a cross-stream commit protocol.
+// atomicity property per stream (a torn tail hides whole commits, never
+// partial ones) without a cross-stream commit protocol.
 // Every later kSetRegion for a cluster goes to the stream that logged its
 // batch, so each stream replays self-contained: RecoverShard(s) is a pure
 // function of shard s's directory.
@@ -18,9 +18,10 @@
 // shard, recover it, resume" contract: sibling shard directories are
 // byte-identical to an uninterrupted run's.
 //
-// Lock order: ShardedDurableRegistry::mu_ -> WalWriter::mu_ ->
-// Registry::mu_ (same shape as DurableRegistry's), declared to the
-// analysis via ACQUIRED_BEFORE on mu_.
+// Lock order: ShardedDurableRegistry::mu_ -> each stream's WalWriter lock
+// -> Registry::mu_. The registry leg is declared to the analysis via
+// ACQUIRED_BEFORE on mu_; the stream locks sit behind a vector, which the
+// annotation cannot name.
 
 #ifndef NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
 #define NELA_DURABILITY_SHARDED_DURABLE_REGISTRY_H_
@@ -93,8 +94,7 @@ class ShardedDurableRegistry {
   // its own appends internally.
   std::vector<std::unique_ptr<WalWriter>> wals_;
 
-  // Same hierarchy as DurableRegistry: this lock precedes every stream's
-  // WAL lock and the registry's.
+  // This lock precedes every stream's WAL lock and the registry's.
   mutable util::Mutex mu_ ACQUIRED_BEFORE(registry_->mu());
   std::vector<uint64_t> next_lsns_ GUARDED_BY(mu_);
   // Cluster id -> stream that logged it (guards SetRegion routing and the

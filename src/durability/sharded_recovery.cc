@@ -13,9 +13,8 @@ namespace nela::durability {
 
 namespace {
 
-// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for other names. (Same
-// naming scheme RecoveryManager scans; shard checkpoints reuse
-// CheckpointPath inside each shard directory.)
+// Parses "checkpoint-<seq>.ckpt" -> seq; nullopt for other names (the
+// names CheckpointPath spells inside each shard directory).
 std::optional<uint64_t> CheckpointSeqOf(const std::string& filename) {
   constexpr const char* kPrefix = "checkpoint-";
   constexpr const char* kSuffix = ".ckpt";
@@ -169,12 +168,6 @@ util::Result<ShardRecoveredState> RecoverShard(const std::string& base_dir,
         state.clusters[it->second].info.region = record.region;
         break;
       }
-      case WalRecordType::kRegister:
-      case WalRecordType::kRegisterBatch:
-        // Single-stream record types never appear in shard streams; seeing
-        // one means a classic WAL was dropped into a shard directory.
-        return util::InvalidArgumentError(
-            "single-stream record in a shard WAL stream");
     }
     ++state.records_replayed;
   }
@@ -196,8 +189,8 @@ util::Result<ShardedRecoveredState> RecoverAllShards(
   }
   std::vector<util::Status> errors(shard_count);
   std::vector<ShardRecoveredState> shards(shard_count);
-  const auto recover_range = [&](size_t begin, size_t end) {
-    for (size_t shard = begin; shard < end; ++shard) {
+  const auto recover_range = [&](uint64_t begin, uint64_t end) {
+    for (uint64_t shard = begin; shard < end; ++shard) {
       auto recovered =
           RecoverShard(base_dir, static_cast<uint32_t>(shard), user_count);
       if (!recovered.ok()) {
@@ -209,11 +202,16 @@ util::Result<ShardedRecoveredState> RecoverAllShards(
   };
   if (pool != nullptr && shard_count > 1) {
     // Each shard reads (and truncates) only its own directory, so the
-    // recoveries are embarrassingly parallel.
-    pool->ParallelFor(shard_count,
-                      [&](unsigned /*worker*/, size_t begin, size_t end) {
-                        recover_range(begin, end);
-                      });
+    // recoveries are embarrassingly parallel: one shard per chunk, and no
+    // sequential cutoff -- the default would run every realistic K inline.
+    util::ChunkOptions options;
+    options.grain = 1;
+    options.sequential_cutoff = 0;
+    pool->ParallelForChunks(
+        shard_count, options,
+        [&](uint32_t, uint64_t, uint64_t begin, uint64_t end) {
+          recover_range(begin, end);
+        });
   } else {
     recover_range(0, shard_count);
   }

@@ -1,19 +1,20 @@
-// Sharded crash recovery: per-shard checkpoint restore + WAL replay.
+// Crash recovery: per-shard checkpoint restore + WAL replay.
 //
 // Each shard recovers from ITS OWN directory alone -- newest intact
 // per-shard checkpoint, torn-tail truncation of its WAL stream, lsn-gated
 // replay of kShardRegisterBatch / kSetRegion records -- so shards recover
 // independently and in parallel, and recovering one shard never opens,
 // reads, or mutates a sibling's files (the single-shard-crash isolation
-// the kill-anywhere matrix asserts).
+// the kill-anywhere matrix asserts). A single-shard service is the K=1
+// case: one stream under <base>/shard-0.
 //
-// Like RecoveryManager, every step is a pure function of the on-disk
-// state: recovering twice, or recovering only the crashed shard and then
-// all of them, yields bit-identical slices. Because one turnstile commit
-// lands in exactly one stream and commits are globally ordered, the union
-// of the recovered slices is a contiguous prefix of the global cluster-id
-// sequence; AssembleRegistry() merges the slices back into the single
-// authoritative registry the service resumes against.
+// Every step is a pure function of the on-disk state: recovering twice, or
+// recovering only the crashed shard and then all of them, yields
+// bit-identical slices. Because one turnstile commit lands in exactly one
+// stream and commits are globally ordered, the union of the recovered
+// slices is a contiguous prefix of the global cluster-id sequence;
+// AssembleRegistry() merges the slices back into the single authoritative
+// registry the service resumes against.
 
 #ifndef NELA_DURABILITY_SHARDED_RECOVERY_H_
 #define NELA_DURABILITY_SHARDED_RECOVERY_H_

@@ -81,31 +81,12 @@ std::string EncodeWalRecord(const WalRecord& record) {
   PutU64(&payload, record.lsn);
   PutU8(&payload, static_cast<uint8_t>(record.type));
   switch (record.type) {
-    case WalRecordType::kRegister: {
-      PutU32(&payload, static_cast<uint32_t>(record.members.size()));
-      for (graph::VertexId member : record.members) PutU32(&payload, member);
-      PutU64(&payload, util::DoubleBits(record.connectivity));
-      PutU8(&payload, record.valid ? 1 : 0);
-      break;
-    }
     case WalRecordType::kSetRegion: {
       PutU32(&payload, record.cluster_id);
       PutU64(&payload, util::DoubleBits(record.region.min_x()));
       PutU64(&payload, util::DoubleBits(record.region.min_y()));
       PutU64(&payload, util::DoubleBits(record.region.max_x()));
       PutU64(&payload, util::DoubleBits(record.region.max_y()));
-      break;
-    }
-    case WalRecordType::kRegisterBatch: {
-      PutU32(&payload, static_cast<uint32_t>(record.clusters.size()));
-      for (const WalClusterImage& image : record.clusters) {
-        PutU32(&payload, static_cast<uint32_t>(image.members.size()));
-        for (graph::VertexId member : image.members) {
-          PutU32(&payload, member);
-        }
-        PutU64(&payload, util::DoubleBits(image.connectivity));
-        PutU8(&payload, image.valid ? 1 : 0);
-      }
       break;
     }
     case WalRecordType::kShardRegisterBatch: {
@@ -134,29 +115,6 @@ util::Result<WalRecord> DecodeWalRecord(const std::string& payload) {
     return util::InvalidArgumentError("WAL payload truncated in header");
   }
   switch (type) {
-    case static_cast<uint8_t>(WalRecordType::kRegister): {
-      record.type = WalRecordType::kRegister;
-      uint32_t member_count = 0;
-      if (!reader.TakeU32(&member_count)) {
-        return util::InvalidArgumentError("WAL register payload truncated");
-      }
-      record.members.reserve(member_count);
-      for (uint32_t i = 0; i < member_count; ++i) {
-        uint32_t member = 0;
-        if (!reader.TakeU32(&member)) {
-          return util::InvalidArgumentError("WAL member list truncated");
-        }
-        record.members.push_back(member);
-      }
-      uint64_t connectivity_bits = 0;
-      uint8_t valid = 0;
-      if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid)) {
-        return util::InvalidArgumentError("WAL register payload truncated");
-      }
-      record.connectivity = util::DoubleFromBits(connectivity_bits);
-      record.valid = valid != 0;
-      break;
-    }
     case static_cast<uint8_t>(WalRecordType::kSetRegion): {
       record.type = WalRecordType::kSetRegion;
       uint64_t bits[4] = {0, 0, 0, 0};
@@ -168,39 +126,6 @@ util::Result<WalRecord> DecodeWalRecord(const std::string& payload) {
       record.region = geo::Rect(
           util::DoubleFromBits(bits[0]), util::DoubleFromBits(bits[1]),
           util::DoubleFromBits(bits[2]), util::DoubleFromBits(bits[3]));
-      break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kRegisterBatch): {
-      record.type = WalRecordType::kRegisterBatch;
-      uint32_t cluster_count = 0;
-      if (!reader.TakeU32(&cluster_count)) {
-        return util::InvalidArgumentError("WAL batch payload truncated");
-      }
-      record.clusters.reserve(cluster_count);
-      for (uint32_t c = 0; c < cluster_count; ++c) {
-        WalClusterImage image;
-        uint32_t member_count = 0;
-        if (!reader.TakeU32(&member_count)) {
-          return util::InvalidArgumentError("WAL batch payload truncated");
-        }
-        image.members.reserve(member_count);
-        for (uint32_t i = 0; i < member_count; ++i) {
-          uint32_t member = 0;
-          if (!reader.TakeU32(&member)) {
-            return util::InvalidArgumentError(
-                "WAL batch member list truncated");
-          }
-          image.members.push_back(member);
-        }
-        uint64_t connectivity_bits = 0;
-        uint8_t valid = 0;
-        if (!reader.TakeU64(&connectivity_bits) || !reader.TakeU8(&valid)) {
-          return util::InvalidArgumentError("WAL batch payload truncated");
-        }
-        image.connectivity = util::DoubleFromBits(connectivity_bits);
-        image.valid = valid != 0;
-        record.clusters.push_back(std::move(image));
-      }
       break;
     }
     case static_cast<uint8_t>(WalRecordType::kShardRegisterBatch): {

@@ -1,46 +1,43 @@
-// Write-ahead log of registry mutations.
+// Write-ahead log of registry mutations, one stream per shard.
 //
 // The anonymizer's only durable state is the cluster registry: which users
 // are clustered together and which cloaked region each cluster published.
-// Both mutations (Register, SetRegion) are logged here *before* they are
-// applied in memory, so a crash at any instant leaves the log holding a
-// prefix of the committed history -- recovery replays that prefix and
-// nothing else.
+// Both mutations (a commit's cluster registrations, SetRegion) are logged
+// here *before* they are applied in memory, so a crash at any instant
+// leaves the log holding a prefix of the committed history -- recovery
+// replays that prefix and nothing else.
 //
 // On-disk framing, all integers little-endian:
 //
 //   record  := [u32 payload_len][u64 fnv1a(payload)][payload]
 //   payload := [u64 lsn][u8 type][body]
-//   body    := kRegister:      [u32 n][n x u32 member]
-//              [u64 connectivity_bits][u8 valid]
-//              kSetRegion:     [u32 cluster_id][4 x u64 rect coordinate
-//              bits]
-//              kRegisterBatch: [u32 cluster_count] then per cluster
-//              [u32 n][n x u32 member][u64 connectivity_bits][u8 valid]
+//   body    := kSetRegion: [u32 cluster_id][4 x u64 rect coordinate bits]
 //              kShardRegisterBatch: [u32 first_cluster_id]
-//              [u32 cluster_count] then per cluster the kRegisterBatch
-//              cluster image; cluster c of the batch has global id
-//              first_cluster_id + c
+//              [u32 cluster_count] then per cluster
+//              [u32 n][n x u32 member][u64 connectivity_bits][u8 valid];
+//              cluster c of the batch has global id first_cluster_id + c
+//
+// Type values 1 and 3 are retired and must stay unassigned: like any other
+// unknown type they fail to decode, so a stream carrying one reads as
+// corrupt from that record on.
 //
 // Appends are serialized on an internal mutex, so a crash can tear at most
 // the final record; ReadWal stops at the first length/checksum mismatch and
 // reports the torn byte count, and TruncateTornTail cuts the file back to
 // its valid prefix so a reopened writer appends after intact records only.
 //
-// kRegisterBatch exists for atomicity, not compactness: one commit of the
-// service driver's turnstile may register several clusters at once, and a
-// crash tearing the middle of that group must hide the *whole* commit --
-// replaying a partial group would leave the host's cluster present but its
-// siblings missing, and a resumed workload would rebuild them differently.
-// Batching the group into a single checksummed record makes the torn-tail
-// rule ("at most the final record is lost") coincide with commit atomicity.
-//
-// kShardRegisterBatch is the sharded-service variant: with K WAL streams
-// (one per shard) a stream sees only the commits its shard coordinated, so
-// replay cannot infer global cluster ids from stream position -- the
-// record carries the batch's first global id explicitly. One commit still
-// lands in exactly ONE stream (the coordinating shard's), preserving the
-// torn-tail-equals-commit-atomicity property per stream; per-stream
+// kShardRegisterBatch exists for atomicity, not compactness: one commit of
+// the service driver's turnstile may register several clusters at once,
+// and a crash tearing the middle of that group must hide the *whole*
+// commit -- replaying a partial group would leave the host's cluster
+// present but its siblings missing, and a resumed workload would rebuild
+// them differently. Batching the group into a single checksummed record
+// makes the torn-tail rule ("at most the final record is lost") coincide
+// with commit atomicity. With K streams a stream sees only the commits its
+// shard coordinated, so replay cannot infer global cluster ids from stream
+// position -- the record carries the batch's first global id explicitly.
+// One commit lands in exactly ONE stream (the coordinating shard's),
+// preserving the torn-tail-equals-commit-atomicity property per stream;
 // kSetRegion records always follow their cluster's batch in the same
 // stream, so each shard's slice replays from its own files alone.
 
@@ -63,13 +60,11 @@
 namespace nela::durability {
 
 enum class WalRecordType : uint8_t {
-  kRegister = 1,
   kSetRegion = 2,
-  kRegisterBatch = 3,
   kShardRegisterBatch = 4,
 };
 
-// One cluster inside a kRegisterBatch record.
+// One cluster inside a kShardRegisterBatch record.
 struct WalClusterImage {
   std::vector<graph::VertexId> members;
   double connectivity = 0.0;
@@ -78,19 +73,14 @@ struct WalClusterImage {
 
 struct WalRecord {
   uint64_t lsn = 0;
-  WalRecordType type = WalRecordType::kRegister;
-  // kRegister fields.
-  std::vector<graph::VertexId> members;
-  double connectivity = 0.0;
-  bool valid = true;
+  WalRecordType type = WalRecordType::kShardRegisterBatch;
   // kSetRegion fields.
   cluster::ClusterId cluster_id = 0;
   geo::Rect region;
-  // kRegisterBatch / kShardRegisterBatch fields: the clusters of one
-  // atomic commit, in registration order.
-  std::vector<WalClusterImage> clusters;
-  // kShardRegisterBatch only: the global cluster id of clusters[0]; the
+  // kShardRegisterBatch fields: the clusters of one atomic commit, in
+  // registration order; clusters[0] has global id first_cluster_id and the
   // rest of the batch follows consecutively.
+  std::vector<WalClusterImage> clusters;
   cluster::ClusterId first_cluster_id = 0;
 };
 
@@ -124,10 +114,6 @@ class WalWriter {
                                         size_t keep_bytes) EXCLUDES(mu_);
 
   uint64_t records_appended() const EXCLUDES(mu_);
-
-  // Names the WAL lock so owners can declare ordering against it
-  // (durability::DurableRegistry::mu_ is ACQUIRED_BEFORE this lock).
-  util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 
  private:
   explicit WalWriter(std::FILE* file);

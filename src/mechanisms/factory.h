@@ -1,5 +1,5 @@
 // Mechanism construction by family: the single switch point the
-// comparative driver, the service drivers, and the benches share, so a new
+// comparative driver, the service driver, and the benches share, so a new
 // baseline lands in every harness by extending one factory.
 
 #ifndef NELA_MECHANISMS_FACTORY_H_

@@ -155,7 +155,7 @@ struct RetryStats {
 };
 
 // Thread safety: every counter mutation and liveness transition happens
-// under one internal mutex, so concurrent requests (sim::BatchDriver
+// under one internal mutex, so concurrent requests (sim::ShardedServiceDriver
 // workers) may share a Network. Determinism caveat: with a loss/latency
 // process installed, the *order* in which concurrent senders draw from the
 // fault RNG depends on scheduling -- per-run bit-identical fault injection

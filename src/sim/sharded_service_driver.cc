@@ -19,11 +19,8 @@
 #include "core/pipeline.h"
 #include "core/request_context.h"
 #include "core/stages.h"
-#include "durability/checkpoint.h"
 #include "durability/crash_scheduler.h"
-#include "durability/durable_registry.h"
 #include "durability/sharded_durable_registry.h"
-#include "durability/wal.h"
 #include "geo/rect.h"
 #include "mechanisms/factory.h"
 #include "net/network.h"
@@ -60,20 +57,6 @@ util::Status CrashError(net::ProcessCrashPoint point) {
       net::ProcessCrashPointName(point));
 }
 
-// Routes PublishStage's region write through the classic single-file WAL.
-class ClassicRegionWriter : public core::RegionWriter {
- public:
-  explicit ClassicRegionWriter(durability::DurableRegistry* durable)
-      : durable_(durable) {}
-  [[nodiscard]] util::Status WriteRegion(cluster::ClusterId id,
-                                         const geo::Rect& region) override {
-    return durable_->SetRegion(id, region);
-  }
-
- private:
-  durability::DurableRegistry* durable_;
-};
-
 // Routes PublishStage's region write to the WAL stream that logged the
 // cluster's registering commit.
 class ShardedRegionWriter : public core::RegionWriter {
@@ -97,10 +80,8 @@ struct ShardedServiceDriver::RunState {
   std::unique_ptr<cluster::ShardedRegistry> sharded;
   cluster::Registry* registry = nullptr;
   std::unique_ptr<net::Network> network;
-  std::unique_ptr<durability::WalWriter> wal;
   std::unique_ptr<durability::CrashPointScheduler> crash;
-  std::unique_ptr<durability::DurableRegistry> durable;
-  std::unique_ptr<durability::ShardedDurableRegistry> sharded_durable;
+  std::unique_ptr<durability::ShardedDurableRegistry> durable;
   std::unique_ptr<core::RegionWriter> region_writer;
   // Non-null when a baseline mechanism serves the requests (ServiceConfig::
   // mechanism != kClusterBound); ProcessRequest then routes every request
@@ -132,11 +113,11 @@ struct ShardedServiceDriver::RunState {
   // latches, the watchdog parking lot, and the halt flag (decisions
   // interleave; contention is negligible next to the clustering/bounding
   // work done outside it). Lock hierarchy: mu precedes every lock taken
-  // inside the turnstile -- each shard coordinator's lock, the (sharded)
-  // durable registry's, the WAL's, and the registry's. mu is a local
+  // inside the turnstile -- each shard coordinator's lock, the durable
+  // registry's, the WAL streams', and the registry's. mu is a local
   // capability (RunState never escapes RunInternal), so the cross-class
   // legs of that order are declared where the foreign locks can name each
-  // other (durable_registry.h) and documented here for the rest.
+  // other (sharded_durable_registry.h) and documented here for the rest.
   util::Mutex mu;
   util::CondVar turn_cv;
   util::CondVar region_cv;
@@ -330,7 +311,7 @@ void ShardedServiceDriver::AdmitWorkload(RunState& run) {
   // arrivals on ONE global Poisson clock, each routed to its home shard's
   // queue, FIFO assignment to that shard's earliest-free server. Worker
   // threads are spread across shards as servers (floor one per shard); at
-  // K=1 this is exactly ServiceDriver's single c-server queue. The RNG
+  // K=1 this is a single c-server queue with c = threads. The RNG
   // stream derives from the workload seed, so the shed set is a function
   // of (config, thread count, K) only.
   util::Rng arrival_rng(service.workload_seed ^ 0x9e3779b97f4a7c15ull);
@@ -589,14 +570,11 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       }
       if (commit_status.ok()) {
         if (run.durable != nullptr) {
-          // One commit may register several clusters; a single batch record
-          // keeps the group atomic under a torn WAL tail.
-          commit_status = run.durable->RegisterBatch(candidate);
-        } else if (run.sharded_durable != nullptr) {
-          // The whole commit -- cross-shard members and all -- lands as one
-          // record in the COORDINATING shard's stream: atomicity without a
-          // cross-stream commit protocol (see sharded_durable_registry.h).
-          commit_status = run.sharded_durable->RegisterBatch(home, candidate);
+          // The whole commit -- several clusters, cross-shard members and
+          // all -- lands as one record in the COORDINATING shard's stream:
+          // atomic under a torn WAL tail without a cross-stream commit
+          // protocol (see sharded_durable_registry.h).
+          commit_status = run.durable->RegisterBatch(home, candidate);
         } else {
           for (const cluster::ClusterInfo& info : candidate) {
             auto committed = run.registry->Register(
@@ -628,19 +606,12 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
     // in parallel after the turnstile, so the exact lsn a checkpoint covers
     // is scheduling-dependent -- recovery replays whatever the snapshot
     // missed, so only the replayed/skipped split varies, never the digest.
-    const bool durable_checkpointing =
-        (run.durable != nullptr && !service.checkpoint_dir.empty()) ||
-        run.sharded_durable != nullptr;
-    if (!run.halted && durable_checkpointing &&
-        service.checkpoint_interval > 0 &&
+    // (A positive interval implies run.durable; RunInternal validates it.)
+    if (!run.halted && service.checkpoint_interval > 0 &&
         ++run.commits_since_checkpoint >= service.checkpoint_interval) {
       run.commits_since_checkpoint = 0;
       ++run.checkpoint_seq;
-      const util::Status ckpt =
-          run.durable != nullptr
-              ? run.durable->Checkpoint(durability::CheckpointPath(
-                    service.checkpoint_dir, run.checkpoint_seq))
-              : run.sharded_durable->CheckpointAll(run.checkpoint_seq);
+      const util::Status ckpt = run.durable->CheckpointAll(run.checkpoint_seq);
       if (!ckpt.ok()) {
         if (run.crash != nullptr && run.crash->crashed()) {
           run.HaltLocked(net::ProcessCrashPoint::kMidCheckpoint);
@@ -808,8 +779,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
 }
 
 util::Result<ShardedServiceResult> ShardedServiceDriver::Run() {
-  return RunInternal(nullptr, /*classic_next_lsn=*/1,
-                     std::vector<uint64_t>(config_.shards, 1), {},
+  return RunInternal(nullptr, std::vector<uint64_t>(config_.shards, 1), {},
                      /*truncate_wal=*/true, /*checkpoint_seq_start=*/0);
 }
 
@@ -834,25 +804,13 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::Resume(
       stream_of.emplace(entry.id, shard.shard);
     }
   }
-  return RunInternal(std::move(registry).value(), /*classic_next_lsn=*/1,
-                     std::move(next_lsns), std::move(stream_of),
-                     /*truncate_wal=*/false, recovered.MaxCheckpointSeq());
-}
-
-util::Result<ShardedServiceResult> ShardedServiceDriver::ResumeClassic(
-    durability::RecoveredState recovered) {
-  NELA_CHECK(recovered.registry != nullptr);
-  if (config_.shards != 1 || !config_.durability_dir.empty()) {
-    return util::InvalidArgumentError(
-        "classic resume is the single-shard, single-WAL path");
-  }
-  return RunInternal(std::move(recovered.registry), recovered.next_lsn,
-                     std::vector<uint64_t>(1, 1), {},
-                     /*truncate_wal=*/false, recovered.max_checkpoint_seq);
+  return RunInternal(std::move(registry).value(), std::move(next_lsns),
+                     std::move(stream_of), /*truncate_wal=*/false,
+                     recovered.MaxCheckpointSeq());
 }
 
 util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
-    std::unique_ptr<cluster::Registry> registry, uint64_t classic_next_lsn,
+    std::unique_ptr<cluster::Registry> registry,
     std::vector<uint64_t> shard_next_lsns,
     std::unordered_map<cluster::ClusterId, uint32_t> stream_of,
     bool truncate_wal, uint64_t checkpoint_seq_start) {
@@ -869,24 +827,9 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     return util::InvalidArgumentError(
         "the queue model needs a positive service time");
   }
-  if (!config_.durability_dir.empty() && !service.wal_path.empty()) {
+  if (service.checkpoint_interval > 0 && config_.durability_dir.empty()) {
     return util::InvalidArgumentError(
-        "configure either the classic WAL or the sharded durability "
-        "directory, not both");
-  }
-  if (!config_.durability_dir.empty() && !service.checkpoint_dir.empty()) {
-    return util::InvalidArgumentError(
-        "sharded durability manages its own per-shard checkpoint "
-        "directories");
-  }
-  if (config_.shards > 1 && !service.wal_path.empty()) {
-    return util::InvalidArgumentError(
-        "multi-shard runs log through the sharded durability directory");
-  }
-  if (service.checkpoint_interval > 0 && service.checkpoint_dir.empty() &&
-      config_.durability_dir.empty()) {
-    return util::InvalidArgumentError(
-        "checkpointing needs a checkpoint directory");
+        "checkpointing needs the durability directory");
   }
   if (registry != nullptr && registry->user_count() != user_count) {
     return util::InvalidArgumentError(
@@ -894,9 +837,7 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   }
   const bool baseline_mechanism =
       service.mechanism != audit::MechanismFamily::kClusterBound;
-  if (baseline_mechanism &&
-      (!service.wal_path.empty() || !config_.durability_dir.empty() ||
-       service.checkpoint_interval > 0)) {
+  if (baseline_mechanism && !config_.durability_dir.empty()) {
     return util::InvalidArgumentError(
         "baseline mechanisms write no registry state; durability does not "
         "compose with them");
@@ -939,24 +880,16 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     run.crash = std::make_unique<durability::CrashPointScheduler>(
         service.fault_plan.process_crashes);
   }
-  if (!service.wal_path.empty()) {
-    auto wal = durability::WalWriter::Open(service.wal_path, truncate_wal);
-    if (!wal.ok()) return wal.status();
-    run.wal = std::move(wal).value();
-    run.durable = std::make_unique<durability::DurableRegistry>(
-        run.registry, run.wal.get(), run.crash.get(), classic_next_lsn);
-    run.region_writer =
-        std::make_unique<ClassicRegionWriter>(run.durable.get());
-  } else if (!config_.durability_dir.empty()) {
+  if (!config_.durability_dir.empty()) {
     NELA_CHECK_EQ(shard_next_lsns.size(), config_.shards);
-    auto sharded = durability::ShardedDurableRegistry::Open(
+    auto durable = durability::ShardedDurableRegistry::Open(
         run.registry, config_.durability_dir, config_.shards,
         run.crash.get(), std::move(shard_next_lsns), std::move(stream_of),
         truncate_wal);
-    if (!sharded.ok()) return sharded.status();
-    run.sharded_durable = std::move(sharded).value();
+    if (!durable.ok()) return durable.status();
+    run.durable = std::move(durable).value();
     run.region_writer =
-        std::make_unique<ShardedRegionWriter>(run.sharded_durable.get());
+        std::make_unique<ShardedRegionWriter>(run.durable.get());
   }
 
   if (baseline_mechanism) {
@@ -1072,8 +1005,6 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   result.crash_point = crash_point;
   result.records = std::move(run.records);
   result.wall_seconds = wall_seconds;
-  result.requests_per_sec =
-      static_cast<double>(service.requests) / std::max(wall_seconds, 1e-9);
   for (const std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
        run.coordinators) {
     result.claim_conflicts += coordinator->conflicts_observed();
@@ -1085,11 +1016,7 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       run.speculation_retries.load(std::memory_order_relaxed);
   result.watchdog_requeues =
       run.watchdog_requeues.load(std::memory_order_relaxed);
-  if (run.wal != nullptr) {
-    result.wal_records = run.wal->records_appended();
-  } else if (run.sharded_durable != nullptr) {
-    result.wal_records = run.sharded_durable->wal_records();
-  }
+  if (run.durable != nullptr) result.wal_records = run.durable->wal_records();
   result.checkpoints_written = checkpoints_written;
 
   const uint32_t shard_count = run.map.shard_count();
@@ -1116,6 +1043,11 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
       if (record.aborted_by_crash) ++result.aborted_by_crash;
     }
   }
+  // Served throughput: shed requests were refused and crash aborts never
+  // finished, so neither counts as served.
+  result.requests_per_sec =
+      static_cast<double>(result.admitted - result.aborted_by_crash) /
+      std::max(wall_seconds, 1e-9);
   std::sort(queue_waits.begin(), queue_waits.end());
   result.p50_queue_wait_ms = PercentileMs(queue_waits, 50.0);
   result.p99_queue_wait_ms = PercentileMs(queue_waits, 99.0);
@@ -1178,8 +1110,8 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
         ++stats.cross_shard_clusters_owned;
       }
     }
-    if (run.sharded_durable != nullptr) {
-      stats.wal_records = run.sharded_durable->wal_records_for(shard);
+    if (run.durable != nullptr) {
+      stats.wal_records = run.durable->wal_records_for(shard);
     }
     stats.shard_digest = run.sharded->ShardDigest(shard);
     std::sort(shard_waits[shard].begin(), shard_waits[shard].end());

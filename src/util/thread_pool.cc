@@ -103,21 +103,6 @@ void ThreadPool::RunOnAllThreads(
   task_ = nullptr;
 }
 
-uint64_t ThreadPool::BlockBegin(uint32_t worker, uint64_t n) const {
-  NELA_CHECK_LE(worker, thread_count_);
-  // floor(n * w / W) without overflow for any realistic n (n < 2^32 in
-  // practice; the product stays within 64 bits for n < 2^32 and W <= 2^32).
-  return n * worker / thread_count_;
-}
-
-void ThreadPool::ParallelFor(
-    uint64_t n, const std::function<void(uint32_t, uint64_t, uint64_t)>&
-                    task) {
-  RunOnAllThreads([&](uint32_t worker) {
-    task(worker, BlockBegin(worker, n), BlockBegin(worker + 1, n));
-  });
-}
-
 uint64_t ThreadPool::ChunkGrain(uint64_t n,
                                 const ChunkOptions& options) const {
   if (options.grain != 0) return options.grain;

@@ -1,23 +1,21 @@
 // Fixed-size pool of persistent worker threads for deterministic fork-join
 // parallelism.
 //
-// The pool is a low-level primitive shared by the parallel WPG builder and
-// the batch driver: callers dispatch one task per worker and block until
-// every invocation returns. Worker 0 is the thread that calls
-// RunOnAllThreads / ParallelFor, so a 1-thread pool spawns nothing and runs
-// inline, and dispatch cost is one notify + countdown — cheap enough to
-// reuse the same pool across many short phases.
+// The pool is a low-level primitive shared by the parallel WPG builder,
+// sharded recovery, and the service driver: callers dispatch one task per
+// worker and block until every invocation returns. Worker 0 is the thread
+// that calls RunOnAllThreads / ParallelForChunks, so a 1-thread pool
+// spawns nothing and runs inline, and dispatch cost is one notify +
+// countdown — cheap enough to reuse the same pool across many short
+// phases.
 //
 // Determinism contract: the pool never decides what a work item computes.
-// ParallelFor partitions [0, n) into contiguous blocks that depend solely
-// on n and thread_count(), never on scheduling — which worker computes an
-// item is itself deterministic, so per-worker outputs can be spliced in
-// block order. ParallelForChunks adds chunked *work stealing* on top of
-// per-worker Chase-Lev deques (util/steal_deque.h): chunk boundaries are a
-// pure function of (n, grain), but which worker executes a chunk — and in
-// what order — depends on scheduling. Pipelines built on it stay
-// bit-identical at every thread count by indexing every output slot by
-// item or by chunk, never by executing worker or execution order.
+// ParallelForChunks schedules chunks by *work stealing* over per-worker
+// Chase-Lev deques (util/steal_deque.h): chunk boundaries are a pure
+// function of (n, grain), but which worker executes a chunk — and in what
+// order — depends on scheduling. Pipelines built on it stay bit-identical
+// at every thread count by indexing every output slot by item or by chunk,
+// never by executing worker or execution order.
 
 #ifndef NELA_UTIL_THREAD_POOL_H_
 #define NELA_UTIL_THREAD_POOL_H_
@@ -84,26 +82,11 @@ class ThreadPool {
   // Invokes task(worker) once for every worker index in
   // [0, thread_count()), concurrently, and blocks until all invocations
   // return. All workers are live simultaneously, so tasks may synchronize
-  // with each other (the batch driver's commit turnstile relies on this).
-  // Tasks must not throw and must not dispatch on the same pool.
+  // with each other (the service driver's commit turnstile relies on
+  // this). Tasks must not throw and must not dispatch on the same pool.
   void RunOnAllThreads(const std::function<void(uint32_t worker)>& task);
 
-  // First index of worker `worker`'s block in the static partition of
-  // [0, n): worker w owns [BlockBegin(w, n), BlockBegin(w + 1, n)). Blocks
-  // are contiguous, ascending, and differ in size by at most one element.
-  uint64_t BlockBegin(uint32_t worker, uint64_t n) const;
-
-  // RunOnAllThreads over the static partition: task(worker, begin, end)
-  // with [begin, end) the worker's block; workers with an empty block are
-  // still invoked (begin == end) so per-worker state stays index-aligned.
-  // Compatibility mode: which worker computes an item is a pure function
-  // of (n, thread_count()), so outputs may be spliced in worker order —
-  // a property ParallelForChunks does NOT provide.
-  void ParallelFor(uint64_t n,
-                   const std::function<void(uint32_t worker, uint64_t begin,
-                                            uint64_t end)>& task);
-
-  // Work-stealing variant: [0, n) is cut into chunks of `options.grain`
+  // Work-stealing loop: [0, n) is cut into chunks of `options.grain`
   // items (chunk c covers [c*grain, min(n, (c+1)*grain))), chunks are
   // dealt to per-worker Chase-Lev deques in contiguous ascending blocks,
   // and idle workers steal (randomized victim, then a full sweep) until

@@ -13,7 +13,7 @@
 namespace nela::util {
 
 // Simple wall-clock timer for the CPU-time measurements of Fig. 13(d) and
-// the batch-driver latency accounting.
+// the service-driver latency accounting.
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}

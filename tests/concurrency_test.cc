@@ -79,8 +79,8 @@ TEST(ClaimCoordinatorTest, ReclaimBySameTicketIsIdempotent) {
 }
 
 // Batched contention with REAL threads: N workers race overlapping claims
-// through the coordinator, then commit in ticket order (the batch driver's
-// turnstile discipline). Must hold:
+// through the coordinator, then commit in ticket order (the service
+// driver's turnstile discipline). Must hold:
 //  * reciprocity -- no user is committed by two tickets;
 //  * liveness    -- the oldest ticket commits its full candidate without
 //                   retrying, and every worker terminates;
@@ -147,7 +147,7 @@ TEST(ClaimCoordinatorTest, BatchedContentionPreservesReciprocity) {
       } else if (committed_owner[v] == ticket) {
         double_commit.store(true);  // same ticket committing twice
       }
-      // Owned by an older ticket: dropped, exactly as the batch driver
+      // Owned by an older ticket: dropped, exactly as the service driver
       // drops users already registered in a committed cluster.
     }
     coordinator.Release(ticket);

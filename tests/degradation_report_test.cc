@@ -29,7 +29,7 @@
 #include "net/retry.h"
 #include "scenario_fixtures.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
+#include "sim/sharded_service_driver.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -187,14 +187,14 @@ const sim::Scenario& ServiceScenario() {
   return scenario;
 }
 
-sim::ServiceResult RunService(const sim::ServiceConfig& config) {
+sim::ServiceResult RunService(const sim::ShardedServiceConfig& config) {
   const sim::Scenario& scenario = ServiceScenario();
-  sim::ServiceDriver driver(scenario.dataset, scenario.graph,
-                            MakeSecurePolicyFactory(BoundingParams{}),
-                            config);
+  sim::ShardedServiceDriver driver(scenario.dataset, scenario.graph,
+                                   MakeSecurePolicyFactory(BoundingParams{}),
+                                   config);
   auto result = driver.Run();
   NELA_CHECK(result.ok());
-  return std::move(result).value();
+  return std::move(result).value().service;
 }
 
 CaseResult FirstRecordWhere(
@@ -210,13 +210,13 @@ CaseResult FirstRecordWhere(
 }
 
 CaseResult QueueOverflowShed() {
-  sim::ServiceConfig config;
-  config.k = 5;
-  config.requests = 128;
-  config.threads = 2;
-  config.offered_rate_per_ms = 8.0;  // 4x the sustainable 2/ms
-  config.service_time_ms = 1.0;
-  config.queue_capacity = 4;
+  sim::ShardedServiceConfig config;
+  config.service.k = 5;
+  config.service.requests = 128;
+  config.service.threads = 2;
+  config.service.offered_rate_per_ms = 8.0;  // 4x the sustainable 2/ms
+  config.service.service_time_ms = 1.0;
+  config.service.queue_capacity = 4;
   const sim::ServiceResult result = RunService(config);
   return FirstRecordWhere(result, [](const sim::ServiceRequestRecord& r) {
     return r.shed == sim::ShedCause::kQueueOverflow;
@@ -224,13 +224,14 @@ CaseResult QueueOverflowShed() {
 }
 
 CaseResult DeadlineShed() {
-  sim::ServiceConfig config;
-  config.k = 5;
-  config.requests = 128;
-  config.threads = 2;
-  config.offered_rate_per_ms = 8.0;
-  config.service_time_ms = 1.0;
-  config.deadline_ms = 2.0;  // unbounded queue; the wait blows the deadline
+  sim::ShardedServiceConfig config;
+  config.service.k = 5;
+  config.service.requests = 128;
+  config.service.threads = 2;
+  config.service.offered_rate_per_ms = 8.0;
+  config.service.service_time_ms = 1.0;
+  // Unbounded queue; the wait blows the deadline.
+  config.service.deadline_ms = 2.0;
   const sim::ServiceResult result = RunService(config);
   return FirstRecordWhere(result, [](const sim::ServiceRequestRecord& r) {
     return r.shed == sim::ShedCause::kDeadline;
@@ -242,12 +243,12 @@ CaseResult CrashAbort() {
       ::testing::TempDir() + "degradation_crash_abort";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  sim::ServiceConfig config;
-  config.k = 5;
-  config.requests = 64;
-  config.threads = 2;
-  config.wal_path = dir + "/wal.log";
-  config.fault_plan.process_crashes.push_back(
+  sim::ShardedServiceConfig config;
+  config.service.k = 5;
+  config.service.requests = 64;
+  config.service.threads = 2;
+  config.durability_dir = dir;
+  config.service.fault_plan.process_crashes.push_back(
       net::ProcessCrashEvent{net::ProcessCrashPoint::kPostCommit, 2});
   const sim::ServiceResult result = RunService(config);
   NELA_CHECK(result.crashed);

@@ -156,7 +156,7 @@ TEST(LintScopingTest, RngHomeMayUseRawSources) {
 TEST(LintScopingTest, TimerHomeMayReadClocks) {
   const std::string body = "auto t = Clock::now();\n";
   EXPECT_TRUE(LintFile("src/util/timer.h", body).empty());
-  EXPECT_FALSE(LintFile("src/sim/batch_driver.cc", body).empty());
+  EXPECT_FALSE(LintFile("src/sim/sharded_service_driver.cc", body).empty());
 }
 
 TEST(LintScopingTest, ThreadPoolInternalsMaySpawnThreads) {

@@ -20,7 +20,6 @@
 #include "core/policy_factory.h"
 #include "geo/point.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
 #include "sim/sharded_service_driver.h"
 #include "util/status.h"
 
@@ -152,14 +151,6 @@ TEST(MechanismDeterminismTest, BaselineModeComposesWithAdmission) {
 }
 
 TEST(MechanismDeterminismTest, BaselineModeRejectsDurabilityAndStall) {
-  {
-    ShardedServiceConfig config =
-        MechanismConfig(audit::MechanismFamily::kGridCloak, 1, 1);
-    config.service.wal_path = "/tmp/nela_mechanism_should_not_exist.wal";
-    auto result = RunConfig(config);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-  }
   {
     ShardedServiceConfig config =
         MechanismConfig(audit::MechanismFamily::kGeoInd, 1, 1);

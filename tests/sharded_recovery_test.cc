@@ -1,10 +1,11 @@
-// Kill-anywhere chaos coverage for the sharded durability path: a crash at
-// any commit-path crash point must leave per-shard disk state that
-// RecoverAllShards rebuilds exactly -- idempotently, in parallel, and
-// WITHOUT touching sibling shards (shards whose streams were not torn stay
-// byte-identical on disk through recovery). Resuming the workload from the
-// assembled registry must converge to the bit-identical digest of a run
-// that never crashed.
+// Kill-anywhere chaos coverage for the durability path: a crash at any
+// commit-path crash point (pre-commit, mid-WAL-append, post-commit,
+// mid-checkpoint), at any thread count and at K=1 as at K=4, must leave
+// per-shard disk state that RecoverAllShards rebuilds exactly --
+// idempotently, in parallel, and WITHOUT touching sibling shards (shards
+// whose streams were not torn stay byte-identical on disk through
+// recovery). Resuming the workload from the assembled registry must
+// converge to the bit-identical digest of a run that never crashed.
 
 #include <cstdint>
 #include <filesystem>
@@ -31,6 +32,7 @@ namespace nela::sim {
 namespace {
 
 constexpr uint32_t kRequests = 96;
+// Shard count of the multi-shard cases; every suite also runs at K=1.
 constexpr uint32_t kShards = 4;
 
 const Scenario& SharedScenario() {
@@ -46,7 +48,7 @@ const Scenario& SharedScenario() {
   return scenario;
 }
 
-ShardedServiceConfig DurableConfig(uint32_t threads,
+ShardedServiceConfig DurableConfig(uint32_t shards, uint32_t threads,
                                    const std::string& dir) {
   ShardedServiceConfig config;
   config.service.k = 5;
@@ -55,7 +57,7 @@ ShardedServiceConfig DurableConfig(uint32_t threads,
   config.service.master_seed = 99;
   config.service.workload_seed = 17;
   config.service.checkpoint_interval = 4;
-  config.shards = kShards;
+  config.shards = shards;
   config.durability_dir = dir;
   return config;
 }
@@ -77,13 +79,13 @@ std::string FreshCaseDir(const std::string& name) {
   return dir;
 }
 
-// Digest of an uninterrupted K-shard run of the same workload, computed
-// without durability (logging is write-through and must not change what
-// gets clustered).
+// Digest of an uninterrupted run of the same workload, computed without
+// durability (logging is write-through and must not change what gets
+// clustered). The digest is shard-count invariant, so one reference serves
+// every K.
 uint64_t UninterruptedDigest() {
   static const uint64_t digest = [] {
-    ShardedServiceConfig config = DurableConfig(4, "");
-    config.durability_dir.clear();
+    ShardedServiceConfig config = DurableConfig(kShards, 4, "");
     config.service.checkpoint_interval = 0;
     return MustRun(config).service.registry_digest;
   }();
@@ -115,25 +117,25 @@ std::vector<uint64_t> ShardNextLsns(
   return lsns;
 }
 
-// Recovering right after a clean sharded run reproduces the final registry,
-// and the serial and parallel recovery paths agree bit for bit.
-TEST(ShardedRecoveryTest, RecoverAfterCleanRunReproducesFinalState) {
-  const std::string dir = FreshCaseDir("clean");
-  const ShardedServiceResult result = MustRun(DurableConfig(4, dir));
+// Recovering right after a clean run at `shards` shards reproduces the
+// final registry -- the WAL streams and checkpoints together carry the
+// complete state -- and the serial and parallel recovery paths agree bit for
+// bit.
+void ExpectCleanRunRecovers(uint32_t shards) {
+  const std::string dir = FreshCaseDir("clean_k" + std::to_string(shards));
+  const ShardedServiceResult result = MustRun(DurableConfig(shards, 4, dir));
   ASSERT_FALSE(result.service.crashed);
   EXPECT_EQ(result.service.registry_digest, UninterruptedDigest());
   EXPECT_GT(result.service.wal_records, 0u);
   EXPECT_GT(result.service.checkpoints_written, 0u);
 
   const uint32_t user_count = SharedScenario().dataset.size();
-  auto serial =
-      durability::RecoverAllShards(dir, kShards, user_count);
+  auto serial = durability::RecoverAllShards(dir, shards, user_count);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   EXPECT_EQ(serial.value().TotalTornBytes(), 0u);
 
   util::ThreadPool pool(4);
-  auto parallel =
-      durability::RecoverAllShards(dir, kShards, user_count, &pool);
+  auto parallel = durability::RecoverAllShards(dir, shards, user_count, &pool);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(ShardNextLsns(serial.value()), ShardNextLsns(parallel.value()));
 
@@ -147,12 +149,21 @@ TEST(ShardedRecoveryTest, RecoverAfterCleanRunReproducesFinalState) {
             result.service.registry_digest);
 }
 
+TEST(ShardedRecoveryTest, RecoverAfterCleanRunReproducesFinalState) {
+  ExpectCleanRunRecovers(kShards);
+}
+
+// K=1: the whole registry logs to one stream, <dir>/shard-0.
+TEST(RecoveryKillAnywhereTest, RecoverAfterCleanRunReproducesFinalState) {
+  ExpectCleanRunRecovers(1);
+}
+
 // A single shard's slice can be recovered alone, and doing so produces the
 // same slice RecoverAllShards sees -- per-shard recovery really is a pure
 // function of that shard's directory.
 TEST(ShardedRecoveryTest, SingleShardRecoveryMatchesFullRecovery) {
   const std::string dir = FreshCaseDir("single");
-  const ShardedServiceResult result = MustRun(DurableConfig(4, dir));
+  const ShardedServiceResult result = MustRun(DurableConfig(kShards, 4, dir));
   ASSERT_FALSE(result.service.crashed);
 
   const uint32_t user_count = SharedScenario().dataset.size();
@@ -174,40 +185,54 @@ struct KillCase {
   uint64_t after_hits;
 };
 
-class ShardedKillAnywhereTest
-    : public ::testing::TestWithParam<std::tuple<KillCase, uint32_t>> {};
+// (shard count K, crash point, worker threads).
+using KillParam = std::tuple<uint32_t, KillCase, uint32_t>;
 
-TEST_P(ShardedKillAnywhereTest, CrashOneShardRecoverResumeConverges) {
-  const KillCase kill = std::get<0>(GetParam());
-  const uint32_t threads = std::get<1>(GetParam());
+// Crashes a durable run at one crash point, recovers every shard, and
+// resumes the workload from the assembled registry.
+void CrashRecoverResume(const KillParam& param) {
+  const uint32_t shards = std::get<0>(param);
+  const KillCase kill = std::get<1>(param);
+  const uint32_t threads = std::get<2>(param);
   const std::string dir =
       FreshCaseDir(std::string(net::ProcessCrashPointName(kill.point)) +
-                   "_t" + std::to_string(threads));
+                   "_k" + std::to_string(shards) + "_t" +
+                   std::to_string(threads));
 
-  ShardedServiceConfig config = DurableConfig(threads, dir);
+  ShardedServiceConfig config = DurableConfig(shards, threads, dir);
   config.service.fault_plan.process_crashes.push_back(
       net::ProcessCrashEvent{kill.point, kill.after_hits});
   const ShardedServiceResult crashed = MustRun(config);
   ASSERT_TRUE(crashed.service.crashed);
   ASSERT_TRUE(crashed.service.crash_point.has_value());
   EXPECT_EQ(*crashed.service.crash_point, kill.point);
-  EXPECT_GT(crashed.service.aborted_by_crash, 0u)
-      << "crash fired too late to abort anything";
+  // Every admitted request the crash cut short is reported as a structured
+  // abort, never silently dropped.
+  uint64_t aborted = 0;
+  for (const ServiceRequestRecord& record : crashed.service.records) {
+    if (!record.aborted_by_crash) continue;
+    ++aborted;
+    EXPECT_FALSE(record.outcome.anonymity_satisfied);
+    EXPECT_EQ(record.outcome.degradation.failure_code,
+              util::StatusCode::kUnavailable);
+    EXPECT_EQ(record.outcome.degradation.finalize_count, 1u);
+  }
+  EXPECT_EQ(aborted, crashed.service.aborted_by_crash);
+  EXPECT_GT(aborted, 0u) << "crash fired too late to abort anything";
 
   // Snapshot every shard's files as the crash left them.
   std::vector<std::map<std::string, std::string>> before;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
+  for (uint32_t shard = 0; shard < shards; ++shard) {
     before.push_back(SnapshotShardFiles(dir, shard));
   }
 
   // Recovery is a pure, per-shard function of the on-disk files: two
   // recoveries agree bit for bit, serial or parallel.
   const uint32_t user_count = SharedScenario().dataset.size();
-  auto first = durability::RecoverAllShards(dir, kShards, user_count);
+  auto first = durability::RecoverAllShards(dir, shards, user_count);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   util::ThreadPool pool(4);
-  auto second =
-      durability::RecoverAllShards(dir, kShards, user_count, &pool);
+  auto second = durability::RecoverAllShards(dir, shards, user_count, &pool);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(ShardNextLsns(first.value()), ShardNextLsns(second.value()));
   auto first_registry = durability::AssembleRegistry(first.value());
@@ -241,7 +266,7 @@ TEST_P(ShardedKillAnywhereTest, CrashOneShardRecoverResumeConverges) {
   // Sibling isolation: recovering the crashed shard leaves every shard
   // whose stream was NOT torn byte-identical on disk (recovery only ever
   // mutates a torn tail, and only in the shard that owns it).
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
+  for (uint32_t shard = 0; shard < shards; ++shard) {
     if (first.value().shards[shard].torn_bytes_discarded > 0) continue;
     EXPECT_EQ(SnapshotShardFiles(dir, shard), before[shard])
         << "recovery touched intact sibling " << shard;
@@ -268,24 +293,45 @@ TEST_P(ShardedKillAnywhereTest, CrashOneShardRecoverResumeConverges) {
             resumed.value().service.registry_digest);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPointsAllThreadCounts, ShardedKillAnywhereTest,
-    ::testing::Combine(
-        ::testing::Values(
-            KillCase{net::ProcessCrashPoint::kPreCommit, 5},
-            KillCase{net::ProcessCrashPoint::kMidWalAppend, 5},
-            KillCase{net::ProcessCrashPoint::kPostCommit, 5},
-            KillCase{net::ProcessCrashPoint::kMidCheckpoint, 2}),
-        ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<KillCase, uint32_t>>&
-           param_info) {
-      std::string name =
-          net::ProcessCrashPointName(std::get<0>(param_info.param).point);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_t" + std::to_string(std::get<1>(param_info.param));
-    });
+// K = kShards: the crash takes down one shard's stream of several.
+class ShardedKillAnywhereTest : public ::testing::TestWithParam<KillParam> {};
+
+TEST_P(ShardedKillAnywhereTest, CrashOneShardRecoverResumeConverges) {
+  CrashRecoverResume(GetParam());
+}
+
+// K = 1: the crash takes down the only stream, <dir>/shard-0.
+class KillAnywhereTest : public ::testing::TestWithParam<KillParam> {};
+
+TEST_P(KillAnywhereTest, CrashRecoverResumeConvergesToUninterruptedDigest) {
+  CrashRecoverResume(GetParam());
+}
+
+const auto kAllKillCases = ::testing::Values(
+    KillCase{net::ProcessCrashPoint::kPreCommit, 5},
+    KillCase{net::ProcessCrashPoint::kMidWalAppend, 5},
+    KillCase{net::ProcessCrashPoint::kPostCommit, 5},
+    KillCase{net::ProcessCrashPoint::kMidCheckpoint, 2});
+const auto kAllThreadCounts = ::testing::Values(1u, 4u, 8u);
+
+std::string KillCaseName(const ::testing::TestParamInfo<KillParam>& info) {
+  std::string name = net::ProcessCrashPointName(std::get<1>(info.param).point);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_t" + std::to_string(std::get<2>(info.param));
+}
+
+// Every crash point x threads {1, 4, 8}, at `shards` shards.
+auto KillMatrix(uint32_t shards) {
+  return ::testing::Combine(::testing::Values(shards), kAllKillCases,
+                            kAllThreadCounts);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPointsAllThreadCounts, ShardedKillAnywhereTest,
+                         KillMatrix(kShards), KillCaseName);
+INSTANTIATE_TEST_SUITE_P(AllPointsAllThreadCounts, KillAnywhereTest,
+                         KillMatrix(1), KillCaseName);
 
 }  // namespace
 }  // namespace nela::sim

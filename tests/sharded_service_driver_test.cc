@@ -1,8 +1,7 @@
 // Tests for the spatially sharded service driver: the determinism matrix
-// (digests bit-identical across thread counts AND shard counts), exact
-// agreement of the K=1 engine with the classic ServiceDriver facade,
-// cross-shard ownership accounting, per-shard admission queues, and the
-// per-shard WAL stream split.
+// (digests, traces, and outcomes bit-identical across thread counts AND
+// shard counts), cross-shard ownership accounting, per-shard admission
+// queues, and the per-shard WAL stream split.
 
 #include <filesystem>
 #include <string>
@@ -12,7 +11,6 @@
 
 #include "core/policy_factory.h"
 #include "sim/scenario.h"
-#include "sim/service_driver.h"
 #include "sim/sharded_service_driver.h"
 #include "util/status.h"
 
@@ -64,26 +62,66 @@ std::string ConcatTraces(const std::vector<ServiceRequestRecord>& records) {
 }
 
 // The tentpole determinism matrix: for a fixed master seed, the global
-// registry digest is bit-identical across {1,4,8} threads AND {1,4,16}
-// shards; the per-shard digests are thread-invariant for each K; and the
-// concatenation of the K slices reproduces the global digest (the slices
-// partition the registry).
+// registry digest and every request's outcome are bit-identical across
+// {1,4,8} threads AND {1,4,16} shards; the concatenated per-request traces
+// and the per-shard digests are thread-invariant for each K (traces name
+// each request's home and owner shard once K > 1, so they differ across
+// K by exactly that placement); and the concatenation of the K slices
+// reproduces the global digest (the slices partition the registry).
 TEST(ShardedServiceDriverTest, DigestMatrixIsThreadAndShardInvariant) {
-  const uint64_t reference =
-      MustRun(ClosedBatchConfig(1, 1)).service.registry_digest;
+  const ServiceResult reference = MustRun(ClosedBatchConfig(1, 1)).service;
+  ASSERT_EQ(reference.records.size(), 192u);
+  EXPECT_GT(reference.clusters_formed, 0u);
 
   for (uint32_t shards : {1u, 4u, 16u}) {
     std::vector<uint64_t> baseline_shard_digests;
+    std::string baseline_traces;
     for (uint32_t threads : {1u, 4u, 8u}) {
       const ShardedServiceResult result =
           MustRun(ClosedBatchConfig(threads, shards));
-      EXPECT_EQ(result.service.registry_digest, reference)
+      const ServiceResult& service = result.service;
+      EXPECT_EQ(service.registry_digest, reference.registry_digest)
           << "global digest diverged at threads=" << threads
           << " shards=" << shards;
-      EXPECT_EQ(result.concatenated_digest, result.service.registry_digest)
+      const std::string traces = ConcatTraces(service.records);
+      if (baseline_traces.empty()) {
+        baseline_traces = traces;
+      } else {
+        EXPECT_EQ(traces, baseline_traces)
+            << "traces diverged at threads=" << threads << " shards=" << shards;
+      }
+      EXPECT_EQ(service.clusters_formed, reference.clusters_formed);
+      // Closed batch: the queue model is off, so nothing is shed.
+      EXPECT_EQ(service.admitted, 192u);
+      EXPECT_EQ(service.shed_queue_overflow + service.shed_deadline, 0u);
+      ASSERT_EQ(service.records.size(), reference.records.size());
+      for (size_t r = 0; r < reference.records.size(); ++r) {
+        const core::CloakingOutcome& a = reference.records[r].outcome;
+        const core::CloakingOutcome& b = service.records[r].outcome;
+        EXPECT_EQ(a.cluster_id, b.cluster_id) << "request " << r;
+        EXPECT_EQ(a.region, b.region) << "request " << r;
+        EXPECT_EQ(a.region_reused, b.region_reused) << "request " << r;
+        EXPECT_EQ(a.cluster_reused, b.cluster_reused) << "request " << r;
+        EXPECT_EQ(a.anonymity_satisfied, b.anonymity_satisfied)
+            << "request " << r;
+        EXPECT_EQ(a.clustering_messages, b.clustering_messages)
+            << "request " << r;
+        EXPECT_EQ(a.bounding_iterations, b.bounding_iterations)
+            << "request " << r;
+        EXPECT_EQ(a.bounding_verifications, b.bounding_verifications)
+            << "request " << r;
+      }
+      EXPECT_EQ(result.concatenated_digest, service.registry_digest)
           << "shard slices do not partition the registry at threads="
           << threads << " shards=" << shards;
       ASSERT_EQ(result.shards.size(), shards);
+      if (shards == 1) {
+        // The single shard owns every cluster and every user.
+        EXPECT_EQ(result.cross_shard_clusters, 0u);
+        EXPECT_EQ(result.cross_shard_handoffs, 0u);
+        EXPECT_EQ(result.shards[0].clusters_owned, service.clusters_formed);
+        EXPECT_EQ(result.shards[0].users, SharedScenario().dataset.size());
+      }
       std::vector<uint64_t> shard_digests;
       for (const ShardRunStats& stats : result.shards) {
         shard_digests.push_back(stats.shard_digest);
@@ -95,36 +133,9 @@ TEST(ShardedServiceDriverTest, DigestMatrixIsThreadAndShardInvariant) {
             << "per-shard digests diverged at threads=" << threads
             << " shards=" << shards;
       }
-      EXPECT_TRUE(result.service.reciprocity_ok);
+      EXPECT_TRUE(service.reciprocity_ok);
     }
   }
-}
-
-// The K=1 engine IS the classic service driver: same digest, same traces,
-// same records (ServiceDriver is a facade over it, so this pins the facade
-// and the engine together bit for bit).
-TEST(ShardedServiceDriverTest, SingleShardMatchesServiceDriverBitForBit) {
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-  const ShardedServiceConfig config = ClosedBatchConfig(4, 1);
-
-  ServiceDriver classic(scenario.dataset, scenario.graph,
-                        core::MakeSecurePolicyFactory(params),
-                        config.service);
-  auto classic_result = classic.Run();
-  ASSERT_TRUE(classic_result.ok()) << classic_result.status().ToString();
-
-  const ShardedServiceResult sharded = MustRun(config);
-  EXPECT_EQ(sharded.service.registry_digest,
-            classic_result.value().registry_digest);
-  EXPECT_EQ(ConcatTraces(sharded.service.records),
-            ConcatTraces(classic_result.value().records));
-  EXPECT_EQ(sharded.cross_shard_clusters, 0u);
-  EXPECT_EQ(sharded.cross_shard_handoffs, 0u);
-  ASSERT_EQ(sharded.shards.size(), 1u);
-  // The single shard owns every cluster and every user.
-  EXPECT_EQ(sharded.shards[0].clusters_owned, sharded.service.clusters_formed);
-  EXPECT_EQ(sharded.shards[0].users, scenario.dataset.size());
 }
 
 // With a real spatial partition, clusters near the grid boundaries straddle
@@ -185,6 +196,11 @@ TEST(ShardedServiceDriverTest, PerShardAdmissionQueuesShedAndTieOut) {
             0u)
       << "2x overload must shed";
   EXPECT_GT(result.service.admitted, 0u);
+  // Throughput counts served requests only: shed requests were refused.
+  const double served = static_cast<double>(result.service.admitted -
+                                            result.service.aborted_by_crash);
+  EXPECT_NEAR(result.service.requests_per_sec * result.service.wall_seconds,
+              served, 1e-9 * served);
 }
 
 // Sharded durability splits the log across per-shard streams whose record
@@ -214,29 +230,6 @@ TEST(ShardedServiceDriverTest, WalStreamsSplitAcrossShards) {
   // Durability is write-through: it must not change what gets clustered.
   EXPECT_EQ(result.service.registry_digest,
             MustRun(ClosedBatchConfig(4, 4)).service.registry_digest);
-}
-
-// Config validation: the classic single-file WAL and the sharded stream
-// directory are mutually exclusive, and multi-shard runs must use the
-// latter.
-TEST(ShardedServiceDriverTest, RejectsConflictingDurabilityModes) {
-  const Scenario& scenario = SharedScenario();
-  const core::BoundingParams params;
-
-  ShardedServiceConfig both = ClosedBatchConfig(1, 1);
-  both.service.wal_path = ::testing::TempDir() + "conflict.walx";
-  both.durability_dir = ::testing::TempDir() + "conflict_dir";
-  ShardedServiceDriver both_driver(scenario.dataset, scenario.graph,
-                                   core::MakeSecurePolicyFactory(params),
-                                   both);
-  EXPECT_FALSE(both_driver.Run().ok());
-
-  ShardedServiceConfig classic_multi = ClosedBatchConfig(1, 4);
-  classic_multi.service.wal_path = ::testing::TempDir() + "multi.walx";
-  ShardedServiceDriver multi_driver(scenario.dataset, scenario.graph,
-                                    core::MakeSecurePolicyFactory(params),
-                                    classic_multi);
-  EXPECT_FALSE(multi_driver.Run().ok());
 }
 
 }  // namespace

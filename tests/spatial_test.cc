@@ -88,9 +88,11 @@ TEST(GridIndexTest, RangeQueryInclusiveBorders) {
 }
 
 // Property sweep: the grid index must agree with brute force for every
-// combination of dataset size and cell size.
+// combination of dataset size and cell size. `count` is 64-bit so the struct
+// has no padding: gtest names each case after the struct's bytes, and
+// uninitialised padding would make the test names differ from run to run.
 struct GridParam {
-  uint32_t count;
+  uint64_t count;
   double cell_size;
   double radius;
 };
@@ -99,10 +101,11 @@ class GridIndexPropertyTest : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(GridIndexPropertyTest, RadiusAgreesWithBruteForce) {
   const GridParam param = GetParam();
-  util::Rng rng(1234 + param.count);
-  const data::Dataset dataset = data::GenerateUniform(param.count, rng);
+  const auto count = static_cast<uint32_t>(param.count);
+  util::Rng rng(1234 + count);
+  const data::Dataset dataset = data::GenerateUniform(count, rng);
   const GridIndex index(dataset.points(), param.cell_size);
-  for (uint32_t q = 0; q < std::min<uint32_t>(param.count, 25); ++q) {
+  for (uint32_t q = 0; q < std::min<uint32_t>(count, 25); ++q) {
     const auto expected =
         BruteRadius(dataset.points(), dataset.point(q), param.radius, q);
     const auto actual = index.RadiusQuery(dataset.point(q), param.radius, q);
@@ -117,11 +120,12 @@ TEST_P(GridIndexPropertyTest, RadiusAgreesWithBruteForce) {
 
 TEST_P(GridIndexPropertyTest, KnnAgreesWithBruteForce) {
   const GridParam param = GetParam();
-  util::Rng rng(99 + param.count);
-  const data::Dataset dataset = data::GenerateUniform(param.count, rng);
+  const auto count = static_cast<uint32_t>(param.count);
+  util::Rng rng(99 + count);
+  const data::Dataset dataset = data::GenerateUniform(count, rng);
   const GridIndex index(dataset.points(), param.cell_size);
   const uint32_t kCount = 5;
-  for (uint32_t q = 0; q < std::min<uint32_t>(param.count, 10); ++q) {
+  for (uint32_t q = 0; q < std::min<uint32_t>(count, 10); ++q) {
     auto all = BruteRadius(dataset.points(), dataset.point(q), 2.0, q);
     const auto actual = index.NearestNeighbors(dataset.point(q), kCount, q);
     const size_t expected_size =

@@ -39,7 +39,7 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInlineOnCaller) {
 }
 
 TEST(ThreadPoolTest, AllWorkersAreLiveSimultaneously) {
-  // The batch driver's commit turnstile blocks workers on each other, so
+  // The service driver's commit turnstile blocks workers on each other, so
   // RunOnAllThreads must provide genuine concurrency: every worker waits
   // until all of them have arrived, which can only terminate if all
   // thread_count() invocations run at the same time.
@@ -66,42 +66,6 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
     });
   }
   EXPECT_EQ(sum.load(), 100u * (1 + 2 + 3));
-}
-
-TEST(ThreadPoolTest, BlockPartitionIsContiguousAndComplete) {
-  ThreadPool pool(3);
-  for (const uint64_t n : {0ull, 1ull, 2ull, 3ull, 7ull, 100ull}) {
-    EXPECT_EQ(pool.BlockBegin(0, n), 0u);
-    EXPECT_EQ(pool.BlockBegin(3, n), n);
-    for (uint32_t w = 0; w < 3; ++w) {
-      EXPECT_LE(pool.BlockBegin(w, n), pool.BlockBegin(w + 1, n));
-      // Balanced: blocks differ in size by at most one element.
-      const uint64_t size = pool.BlockBegin(w + 1, n) - pool.BlockBegin(w, n);
-      EXPECT_LE(size, n / 3 + 1);
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr uint64_t kN = 1013;  // not a multiple of the worker count
-  std::vector<std::atomic<uint32_t>> seen(kN);
-  pool.ParallelFor(kN, [&](uint32_t, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) seen[i].fetch_add(1);
-  });
-  for (uint64_t i = 0; i < kN; ++i) EXPECT_EQ(seen[i].load(), 1u);
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanWorkers) {
-  ThreadPool pool(8);
-  std::atomic<uint64_t> visited{0};
-  std::atomic<uint32_t> invocations{0};
-  pool.ParallelFor(3, [&](uint32_t, uint64_t begin, uint64_t end) {
-    invocations.fetch_add(1);
-    visited.fetch_add(end - begin);
-  });
-  EXPECT_EQ(visited.load(), 3u);
-  EXPECT_EQ(invocations.load(), 8u);  // empty blocks are still invoked
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountIsAtLeastOne) {
@@ -211,11 +175,11 @@ TEST(ThreadPoolTest, ParallelForChunksBoundariesAreScheduleIndependent) {
   EXPECT_EQ(ends[2].load(), 10u);  // last chunk clamps to n
 }
 
-TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
-  // The work-stealing variant must produce the same slot-indexed result
-  // as the static partition even when per-item cost is wildly skewed
-  // (the first 1/16th of items cost ~200x the rest, so static blocks
-  // leave worker 0 with almost all the work and thieves migrate chunks).
+TEST(ThreadPoolTest, ParallelForChunksMatchesSerialLoopUnderSkewedCost) {
+  // Work stealing must produce the same slot-indexed result as a plain
+  // serial loop even when per-item cost is wildly skewed (the first 1/16th
+  // of items cost ~200x the rest, so worker 0's initial block holds almost
+  // all the work and thieves migrate chunks).
   constexpr uint64_t kN = 4096;
   const auto item_value = [](uint64_t i) {
     const uint64_t spins = (i < kN / 16) ? 2000 : 10;
@@ -226,11 +190,10 @@ TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
     return acc;
   };
 
+  std::vector<uint64_t> from_loop(kN, 0);
+  for (uint64_t i = 0; i < kN; ++i) from_loop[i] = item_value(i);
+
   ThreadPool pool(4);
-  std::vector<uint64_t> from_static(kN, 0);
-  pool.ParallelFor(kN, [&](uint32_t, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) from_static[i] = item_value(i);
-  });
 
   ChunkDispatchStats stats;
   ChunkOptions options;
@@ -246,7 +209,7 @@ TEST(ThreadPoolTest, ParallelForChunksMatchesParallelForUnderSkewedCost) {
       });
 
   EXPECT_TRUE(stats.dispatched);
-  EXPECT_EQ(from_static, from_stealing);
+  EXPECT_EQ(from_loop, from_stealing);
 }
 
 TEST(ThreadPoolTest, ParallelForChunksBypassesDispatchBelowCutoff) {
