@@ -1,7 +1,6 @@
 #include "cluster/concurrency.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "cluster/distributed_tconn.h"
 
@@ -47,13 +46,24 @@ bool ClaimCoordinator::TryClaim(Ticket ticket,
   for (Ticket victim : to_wound) {
     ++wounds_;
     wounded_[victim] = 1;
-    for (Ticket& h : holder_) {
-      if (h == victim) h = kNoTicket;
-    }
+    DropClaimsLocked(victim);
   }
-  // Pass 3: take everything.
-  for (graph::VertexId v : members) holder_[v] = ticket;
+  // Pass 3: take everything, listing each newly held user once.
+  std::vector<graph::VertexId>* held = nullptr;
+  for (graph::VertexId v : members) {
+    if (holder_[v] == ticket) continue;
+    if (held == nullptr) held = &claims_[ticket];
+    holder_[v] = ticket;
+    held->push_back(v);
+  }
   return true;
+}
+
+void ClaimCoordinator::DropClaimsLocked(Ticket ticket) {
+  const auto it = claims_.find(ticket);
+  if (it == claims_.end()) return;
+  for (graph::VertexId v : it->second) holder_[v] = kNoTicket;
+  claims_.erase(it);
 }
 
 bool ClaimCoordinator::WasWounded(Ticket ticket) {
@@ -67,9 +77,7 @@ bool ClaimCoordinator::WasWounded(Ticket ticket) {
 void ClaimCoordinator::Release(Ticket ticket) {
   NELA_CHECK_NE(ticket, kNoTicket);
   util::MutexLock lock(mu_);
-  for (Ticket& h : holder_) {
-    if (h == ticket) h = kNoTicket;
-  }
+  DropClaimsLocked(ticket);
 }
 
 Ticket ClaimCoordinator::HolderOf(graph::VertexId v) const {
@@ -110,6 +118,9 @@ ConcurrentCloakingSession::RunAll(const std::vector<graph::VertexId>& hosts) {
     pending.push_back(Pending{host, coordinator_.OpenRequest(), {},
                               State::kIdle, {}});
   }
+
+  // Only proposes; commits go through registry_->Register below.
+  DistributedTConnClusterer clusterer(graph_, k_, registry_);
 
   // Fair round-robin, one step per turn: an idle request computes its
   // candidate and claims it; a claimed request commits on its NEXT turn --
@@ -158,26 +169,21 @@ ConcurrentCloakingSession::RunAll(const std::vector<graph::VertexId>& hosts) {
         continue;
       }
 
-      // Speculative phase 1 on a snapshot.
-      std::unique_ptr<Registry> scratch = registry_->Snapshot();
-      const ClusterId first_new = scratch->cluster_count();
-      DistributedTConnClusterer clusterer(graph_, k_, scratch.get());
-      auto speculative = clusterer.ClusterFor(request.host);
-      if (!speculative.ok()) return speculative.status();
+      // Speculative phase 1: propose over the current remaining WPG.
+      auto proposal =
+          clusterer.Propose(request.host, registry_->ActiveMask(), nullptr);
+      if (!proposal.ok()) return proposal.status();
 
       std::vector<graph::VertexId> claim_set;
-      std::vector<ClusterInfo> new_clusters;
-      for (ClusterId id = first_new; id < scratch->cluster_count(); ++id) {
-        const ClusterInfo& info = scratch->info(id);
+      for (const ClusterInfo& info : proposal.value().clusters) {
         claim_set.insert(claim_set.end(), info.members.begin(),
                          info.members.end());
-        new_clusters.push_back(info);
       }
       if (!coordinator_.TryClaim(request.ticket, claim_set)) {
         ++request.outcome.retries;  // an older request holds users we need
         continue;
       }
-      request.new_clusters = std::move(new_clusters);
+      request.new_clusters = std::move(proposal.value().clusters);
       request.state = State::kClaimed;
     }
   }

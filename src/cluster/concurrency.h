@@ -15,15 +15,23 @@
 //    commits (wound-wait style, no circular waiting is even possible).
 //
 // The coordinator is deliberately decoupled from the clustering algorithms:
-// phase 1 computes a candidate membership from a registry snapshot, then
-// commits it through the coordinator; a conflict means another host claimed
-// an overlapping set first, and the request recomputes against the fresh
+// phase 1 proposes a candidate membership from a copy of the registry's
+// remaining-WPG mask (DistributedTConnClusterer::Propose), then commits it
+// through the coordinator; a conflict means another host claimed an
+// overlapping set first, and the request recomputes against the fresh
 // registry state. ConcurrentCloakingSession drives that loop.
+//
+// Cost: the coordinator keeps, next to the per-user holder table, the list
+// of users each live ticket holds, so Release and wounding cost O(users the
+// ticket holds) -- O(1) for a ticket that holds nothing here -- and never
+// scan the population. Memory beyond the holder table is O(claims in
+// flight): a ticket's list is dropped when it is released or wounded.
 
 #ifndef NELA_CLUSTER_CONCURRENCY_H_
 #define NELA_CLUSTER_CONCURRENCY_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/clusterer.h"
@@ -76,11 +84,12 @@ class ClaimCoordinator {
       EXCLUDES(mu_);
 
   // True when another (older) request revoked this ticket's claims; the
-  // wounded request must drop its candidate and retry with a fresh
-  // snapshot. Resets the flag.
+  // wounded request must drop its candidate and retry against the fresh
+  // registry state. Resets the flag.
   bool WasWounded(Ticket ticket) EXCLUDES(mu_);
 
-  // Releases every claim of `ticket` (after commit or abort).
+  // Releases every claim of `ticket` (after commit or abort). O(users the
+  // ticket holds in this coordinator).
   void Release(Ticket ticket) EXCLUDES(mu_);
 
   // Holder of user `v`, or kNoTicket.
@@ -101,8 +110,16 @@ class ClaimCoordinator {
   util::Mutex& mu() const RETURN_CAPABILITY(mu_) { return mu_; }
 
  private:
+  // Frees every user `ticket` holds and forgets its claim list.
+  void DropClaimsLocked(Ticket ticket) REQUIRES(mu_);
+
   mutable util::Mutex mu_;
   std::vector<Ticket> holder_ GUARDED_BY(mu_);
+  // Live ticket -> the users it holds, each once: claims_[t] lists exactly
+  // the users v with holder_[v] == t. Only tickets holding at least one
+  // claim have an entry.
+  std::unordered_map<Ticket, std::vector<graph::VertexId>> claims_
+      GUARDED_BY(mu_);
   // Indexed by ticket (grown on demand).
   std::vector<uint8_t> wounded_ GUARDED_BY(mu_);
   Ticket next_ticket_ GUARDED_BY(mu_) = 1;
@@ -113,8 +130,8 @@ class ClaimCoordinator {
 // Serializes concurrent cloaking requests on top of any Clusterer.
 //
 // Simulates R hosts whose requests arrive "almost at the same time": each
-// request repeatedly (a) snapshots the registry, (b) runs phase 1 on a
-// scratch registry to obtain a candidate partition, (c) claims the
+// request repeatedly (a) copies the registry's remaining-WPG mask, (b)
+// proposes phase 1's candidate partition over it, (c) claims the
 // candidate's users through the coordinator, and (d) commits into the real
 // registry -- retrying from (a) whenever it loses a claim or was wounded.
 // The commit order interleaves round-robin, so claims genuinely contend.

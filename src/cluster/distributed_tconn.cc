@@ -35,30 +35,61 @@ DistributedTConnClusterer::DistributedTConnClusterer(const graph::Wpg& graph,
 
 util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
     graph::VertexId host, net::RequestScope* scope) {
-  const uint32_t n = graph_.vertex_count();
-  if (host >= n) {
+  if (host >= graph_.vertex_count()) {
     return util::InvalidArgumentError("host vertex out of range");
   }
   if (registry_->IsClustered(host)) {
     return ClusteringOutcome{registry_->ClusterOf(host), 0, true};
+  }
+  auto proposal = Propose(host, registry_->ActiveMask(), scope);
+  if (!proposal.ok()) return proposal.status();
+  for (ClusterInfo& info : proposal.value().clusters) {
+    auto registered = registry_->Register(std::move(info.members),
+                                          info.connectivity, info.valid);
+    if (!registered.ok()) return registered.status();
+  }
+  return ClusteringOutcome{registry_->ClusterOf(host),
+                           proposal.value().involved_users, false,
+                           proposal.value().members_lost};
+}
+
+util::Result<ClusterProposal> DistributedTConnClusterer::Propose(
+    graph::VertexId host, std::vector<bool> usable,
+    net::RequestScope* scope) {
+  const uint32_t n = graph_.vertex_count();
+  if (host >= n) {
+    return util::InvalidArgumentError("host vertex out of range");
+  }
+  NELA_CHECK_EQ(usable.size(), n);
+  if (!usable[host]) {
+    return util::FailedPreconditionError("host " + std::to_string(host) +
+                                         " is already clustered");
   }
   if (network_ != nullptr && !network_->IsAlive(host)) {
     return util::UnavailableError("host " + std::to_string(host) +
                                   " is offline");
   }
   trace_ = Trace{};
+  ClusterProposal proposal;
+  // Appends one cluster in registration order, members sorted as the
+  // registry stores them.
+  auto add_cluster = [&proposal](std::vector<graph::VertexId> members,
+                                 double connectivity, bool valid) {
+    std::sort(members.begin(), members.end());
+    proposal.clusters.push_back(
+        ClusterInfo{std::move(members), connectivity, valid, std::nullopt});
+  };
 
-  // Vertices this run may still use: unclustered (the remaining WPG) minus
-  // anyone excluded after a failed adjacency exchange or crash.
-  std::vector<bool> usable(registry_->active());
+  // `usable` -- the vertices this run may still use: unclustered (the
+  // remaining WPG) minus anyone excluded after a failed adjacency exchange
+  // or crash.
   std::vector<uint8_t> in_c(n, 0);
   std::vector<uint8_t> involved(n, 0);
   std::vector<uint8_t> exchanged(n, 0);
-  uint64_t involved_count = 0;
   auto mark_involved = [&](graph::VertexId v) {
     if (!involved[v]) {
       involved[v] = 1;
-      ++involved_count;
+      ++proposal.involved_users;
     }
   };
 
@@ -160,15 +191,13 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
 
   if (!reached_k) {
     // The host's entire remaining component (surviving churn) is smaller
-    // than k: k-anonymity is unachievable. Register the component as an
+    // than k: k-anonymity is unachievable. Propose the component as an
     // invalid cluster so the caller can see the degraded guarantee.
-    auto registered = registry_->Register(c_members, t.weight,
-                                          /*valid=*/false);
-    if (!registered.ok()) return registered.status();
+    add_cluster(std::move(c_members), t.weight, /*valid=*/false);
     trace_.candidate = trace_.smallest_valid_cluster;
     trace_.final_t = t.weight;
-    return ClusteringOutcome{registered.value(), involved_count, false,
-                             trace_.members_lost};
+    proposal.members_lost = trace_.members_lost;
+    return proposal;
   }
 
   // BFS over edges with key <= t restricted to usable, non-C vertices;
@@ -268,7 +297,7 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
   trace_.final_t = t.weight;
 
   // Final churn re-validation: drop members that crashed after their
-  // exchange, and if the surviving cluster fell below k, register it as
+  // exchange, and if the surviving cluster fell below k, propose it as
   // invalid -- the caller sees the degraded guarantee instead of a
   // silently under-anonymous cluster.
   if (network_ != nullptr) {
@@ -285,29 +314,25 @@ util::Result<ClusteringOutcome> DistributedTConnClusterer::ClusterFor(
     }
     c_members.swap(survivors);
     if (c_members.size() < k_) {
-      auto registered = registry_->Register(std::move(c_members), t.weight,
-                                            /*valid=*/false);
-      if (!registered.ok()) return registered.status();
-      return ClusteringOutcome{registered.value(), involved_count, false,
-                               trace_.members_lost};
+      add_cluster(std::move(c_members), t.weight, /*valid=*/false);
+      proposal.members_lost = trace_.members_lost;
+      return proposal;
     }
   }
 
   // --- Step 3: all edge weights inside C are known to the host now; run
-  // the centralized partition and register every resulting cluster.
+  // the centralized partition and propose every resulting cluster.
   // Production partitioner (Kruskal-freeze) restricted to C: filter the
   // global partition is not possible locally, so run it on the induced
   // subgraph by mapping C into a dense id space.
   Partition partition = PartitionSubset(c_members);
   for (size_t i = 0; i < partition.clusters.size(); ++i) {
     const bool valid = partition.clusters[i].size() >= k_;
-    auto registered = registry_->Register(std::move(partition.clusters[i]),
-                                          partition.connectivity[i], valid);
-    if (!registered.ok()) return registered.status();
+    add_cluster(std::move(partition.clusters[i]), partition.connectivity[i],
+                valid);
   }
-
-  return ClusteringOutcome{registry_->ClusterOf(host), involved_count, false,
-                           trace_.members_lost};
+  proposal.members_lost = trace_.members_lost;
+  return proposal;
 }
 
 Partition DistributedTConnClusterer::PartitionSubset(

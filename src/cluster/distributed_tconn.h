@@ -15,6 +15,13 @@
 //  3. Partition C with the centralized algorithm and register every
 //     resulting cluster, so later requests from any user of C are free.
 //
+// Propose() runs the three steps over a caller-supplied remaining-WPG mask
+// and returns the clusters without registering them; ClusterFor() is the
+// reuse check, Propose() over the registry's mask, then one Register per
+// proposed cluster. Concurrent callers (the service driver's speculation,
+// ConcurrentCloakingSession) propose from a locked mask copy and commit
+// the proposal themselves.
+//
 // Fault tolerance: against a faulty network, every adjacency exchange is
 // retransmitted with the configured backoff; a peer whose exchange cannot
 // be delivered (crashed, or retry budget exhausted) is excluded from the
@@ -38,6 +45,16 @@
 
 namespace nela::cluster {
 
+// What one run of Algorithm 2 would register, before any of it is.
+struct ClusterProposal {
+  // In registration order; members sorted ascending, region unset. The
+  // host belongs to exactly one of them.
+  std::vector<ClusterInfo> clusters;
+  // As ClusteringOutcome::involved_users / members_lost.
+  uint64_t involved_users = 0;
+  uint32_t members_lost = 0;
+};
+
 class DistributedTConnClusterer : public Clusterer {
  public:
   // `registry` and (optional) `network` must outlive the clusterer.
@@ -48,6 +65,14 @@ class DistributedTConnClusterer : public Clusterer {
   using Clusterer::ClusterFor;
   [[nodiscard]] util::Result<ClusteringOutcome> ClusterFor(
       graph::VertexId host, net::RequestScope* scope) override;
+  // Steps 1-3 for `host` over `usable` (bit v true while v is unclustered,
+  // e.g. Registry::ActiveMask()). Reads and writes no registry. Fails with
+  // kFailedPrecondition when the host is clear of the mask (already
+  // clustered) and with kUnavailable when the host is offline or crashes.
+  [[nodiscard]] util::Result<ClusterProposal> Propose(
+      graph::VertexId host, std::vector<bool> usable,
+      net::RequestScope* scope);
+
   const char* name() const override { return "t-Conn"; }
   uint32_t k() const override { return k_; }
 

@@ -74,6 +74,12 @@ uint64_t Registry::Digest() const {
   return digest;
 }
 
+std::vector<bool> Registry::ActiveMask(uint64_t* version_out) const {
+  util::MutexLock lock(mu_);
+  if (version_out != nullptr) *version_out = version_;
+  return active_;
+}
+
 std::unique_ptr<Registry> Registry::Snapshot(uint64_t* version_out) const {
   util::MutexLock lock(mu_);
   auto copy = std::make_unique<Registry>(user_count_, allow_overlap_);

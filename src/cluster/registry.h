@@ -39,16 +39,16 @@ struct ClusterInfo {
   std::optional<geo::Rect> region;
 };
 
-// Thread safety: mutations (Register, SetRegion) and the scalar accessors
-// are serialized on an internal mutex, so concurrent requests (the service
-// driver's workers) may share a registry. Clusters live in a deque,
+// Thread safety: mutations (Register, SetRegion) and every read of mutable
+// state are serialized on an internal mutex, so concurrent requests (the
+// service driver's workers) may share a registry. Clusters live in a deque,
 // which keeps info() references stable across later Register calls --
 // membership is immutable once registered, so reading a committed cluster's
 // members never races (the region field is published under the mutex and
 // must be read through `info(id).region` only after a reuse decision made
 // under external coordination, e.g. the service driver's commit turnstile).
-// active() returns a reference into live state and is only safe while no
-// concurrent Register runs; speculative concurrent runs use Snapshot().
+// Speculative concurrent runs read the remaining-WPG mask through
+// ActiveMask(), a copy taken under the lock together with the version.
 class Registry {
  public:
   // `allow_overlap` relaxes the uniqueness invariant for baseline studies:
@@ -113,24 +113,27 @@ class Registry {
   // Stores the cloaked region computed by phase 2. May be set exactly once.
   void SetRegion(ClusterId id, const geo::Rect& region) EXCLUDES(mu_);
 
-  // active()[v] is true while v is unclustered -- the "remaining WPG" mask
-  // the distributed algorithms operate on. Single-writer only; see the
-  // class comment.
-  const std::vector<bool>& active() const { return active_; }
+  // A copy of the "remaining WPG" mask the distributed algorithms operate
+  // on: bit v is true while v is unclustered. Taken under the lock,
+  // atomically with the membership version written to `version_out`, so a
+  // speculation can later tell whether its mask is still current.
+  std::vector<bool> ActiveMask(uint64_t* version_out = nullptr) const
+      EXCLUDES(mu_);
 
   // Membership version: bumped by every Register (not by SetRegion).
-  // Speculative executions validate their snapshot against it before
-  // committing -- an unchanged version proves the membership state they
-  // computed from is still the authoritative one.
+  // Speculative executions validate their ActiveMask() copy against it
+  // before committing -- an unchanged version proves the membership state
+  // they computed from is still the authoritative one.
   uint64_t version() const EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     return version_;
   }
 
   // Deep-copies the membership state (members, connectivity, validity --
-  // regions are not copied; speculation only needs membership) into a fresh
-  // registry, atomically with the returned version. The copy is private to
-  // the caller and safe to mutate off-thread.
+  // regions are not copied) into a fresh registry, atomically with the
+  // returned version. O(population + clustered users), so no request path
+  // calls it: speculation reads ActiveMask() instead. Only bench_e2e calls
+  // it, to time the copy as a per-layer metric.
   std::unique_ptr<Registry> Snapshot(uint64_t* version_out = nullptr) const
       EXCLUDES(mu_);
 
@@ -152,11 +155,7 @@ class Registry {
   const uint32_t user_count_;
   mutable util::Mutex mu_;
   std::vector<ClusterId> cluster_of_ GUARDED_BY(mu_);
-  // Deliberately unguarded: active() hands out a reference under the
-  // documented single-writer contract above, so the member cannot carry
-  // GUARDED_BY without outlawing that API. Concurrent readers use
-  // Snapshot(); the service driver's turnstile serializes the writer.
-  std::vector<bool> active_;
+  std::vector<bool> active_ GUARDED_BY(mu_);
   std::deque<ClusterInfo> clusters_ GUARDED_BY(mu_);
   uint32_t clustered_users_ GUARDED_BY(mu_) = 0;
   uint64_t version_ GUARDED_BY(mu_) = 0;

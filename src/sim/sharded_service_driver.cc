@@ -51,6 +51,15 @@ uint64_t DoubleBits(double value) {
   return bits;
 }
 
+// commit_rank of a request that was shed at admission.
+constexpr uint64_t kNotAdmitted = ~0ull;
+
+// Tickets carry the GLOBAL wound-wait priority: the admission rank, offset
+// past kNoTicket.
+cluster::Ticket TicketOf(uint64_t rank) {
+  return static_cast<cluster::Ticket>(rank + 1);
+}
+
 util::Status CrashError(net::ProcessCrashPoint point) {
   return util::UnavailableError(
       std::string("simulated process crash at ") +
@@ -100,9 +109,9 @@ struct ShardedServiceDriver::RunState {
   std::vector<uint8_t> delivered;
   // Admitted ordinals in ordinal order; workers pull indexes into this.
   std::vector<uint64_t> admitted_ordinals;
-  // Ordinal -> dense rank among admitted requests (drives the turnstile).
-  std::unordered_map<uint64_t, uint64_t> commit_rank;
-  std::unordered_map<uint64_t, cluster::Ticket> tickets;
+  // Ordinal -> dense rank among admitted requests (drives the turnstile),
+  // kNotAdmitted for a shed request. The request's ticket is TicketOf(rank).
+  std::vector<uint64_t> commit_rank;
   std::atomic<uint64_t> next_work{0};
   std::atomic<uint64_t> speculation_retries{0};
   std::atomic<uint64_t> speculation_aborts{0};
@@ -301,7 +310,7 @@ void ShardedServiceDriver::AdmitWorkload(RunState& run) {
     for (uint64_t ordinal = 0; ordinal < request_count; ++ordinal) {
       ServiceRequestRecord& record = run.records[ordinal];
       record.admitted = true;
-      run.commit_rank.emplace(ordinal, run.admitted_ordinals.size());
+      run.commit_rank[ordinal] = run.admitted_ordinals.size();
       run.admitted_ordinals.push_back(ordinal);
     }
     return;
@@ -364,7 +373,7 @@ void ShardedServiceDriver::AdmitWorkload(RunState& run) {
     record.admitted = true;
     record.arrival_ms = arrival;
     record.queue_wait_ms = wait;
-    run.commit_rank.emplace(ordinal, run.admitted_ordinals.size());
+    run.commit_rank[ordinal] = run.admitted_ordinals.size();
     run.admitted_ordinals.push_back(ordinal);
   }
 }
@@ -380,7 +389,7 @@ bool ShardedServiceDriver::TryRescue(RunState& run, uint64_t max_rank) {
       // Only rescue a request whose commit precedes `max_rank`: rescuing a
       // younger request from inside an older one's turnstile wait would
       // re-enter a wait that the rescuer itself blocks.
-      if (run.commit_rank.at(ordinal) < max_rank) {
+      if (run.commit_rank[ordinal] < max_rank) {
         parked_ordinal = ordinal;
         parked_ticket = ticket;
         found = true;
@@ -443,7 +452,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   const data::UserId host = run.hosts[ordinal];
   const cluster::ShardId home = run.home_of[ordinal];
   ServiceRequestRecord& record = run.records[ordinal];
-  const uint64_t rank = run.commit_rank.at(ordinal);
+  const uint64_t rank = run.commit_rank[ordinal];
   core::RequestContext ctx(service.master_seed, ordinal, host);
   ctx.set_deadline_ms(service.deadline_ms);
   // The simulated queue wait counts against the request's deadline budget
@@ -451,7 +460,10 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   if (record.queue_wait_ms > 0.0) {
     ctx.scope().RecordBackoff(record.queue_wait_ms);
   }
-  const cluster::Ticket ticket = run.tickets.at(ordinal);
+  const cluster::Ticket ticket = TicketOf(rank);
+  // Proposes; never registers (commits flow through the turnstile below).
+  cluster::DistributedTConnClusterer clusterer(graph_, service.k,
+                                               run.registry);
 
   // --- Speculation (parallel, untraced: the candidate may be discarded,
   // and claim conflicts are scheduling-dependent) ---------------------------
@@ -460,6 +472,9 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   std::vector<cluster::ClusterInfo> candidate;
   bool holds_claim = false;
   while (true) {
+    // Reuse first, from the live registry: membership is immutable once
+    // registered and the turnstile checks again, so a hit needs no copy.
+    if (run.registry->IsClustered(host)) break;
     {
       util::MutexLock lock(run.mu);
       if (run.halted) {
@@ -468,29 +483,22 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       }
     }
     (void)AnyWounded(run, ticket);  // clear any stale wound
-    std::unique_ptr<cluster::Registry> scratch =
-        run.registry->Snapshot(&spec_version);
-    if (scratch->IsClustered(host)) break;  // reuse; the turnstile decides
-    const cluster::ClusterId first_new = scratch->cluster_count();
-    cluster::DistributedTConnClusterer clusterer(graph_, service.k,
-                                                 scratch.get());
-    auto speculative = clusterer.ClusterFor(host);
+    std::vector<bool> usable = run.registry->ActiveMask(&spec_version);
+    if (!usable[host]) break;  // clustered since the check: reuse
+    auto speculative = clusterer.Propose(host, std::move(usable), nullptr);
     if (!speculative.ok()) break;  // reproduced serially at the turnstile
     spec_involved = speculative.value().involved_users;
+    candidate = std::move(speculative.value().clusters);
     std::vector<graph::VertexId> claim_set;
-    for (cluster::ClusterId id = first_new; id < scratch->cluster_count();
-         ++id) {
-      const cluster::ClusterInfo& info = scratch->info(id);
+    for (const cluster::ClusterInfo& info : candidate) {
       claim_set.insert(claim_set.end(), info.members.begin(),
                        info.members.end());
-      candidate.push_back(info);
     }
-    if (candidate.empty()) break;
     if (!TryClaimAcross(run, ticket, home, claim_set)) {
       // An older request holds users we need; it always finishes without
       // waiting on us (wound-wait) -- unless it is parked (stalled), in
       // which case the watchdog path below rolls it back. Either way,
-      // re-speculate on a fresher snapshot.
+      // re-speculate on a fresher mask.
       run.speculation_retries.fetch_add(1, std::memory_order_relaxed);
       candidate.clear();
       if (!TryRescue(run, rank)) std::this_thread::yield();
@@ -545,25 +553,19 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
                                       !AnyWounded(run, ticket) &&
                                       spec_version == run.registry->version();
       if (!commit_speculation) {
-        // Stale snapshot or wounded claim: recompute phase 1 serially
-        // against the authoritative membership, inside the turnstile. The
-        // recomputation runs on a scratch snapshot so the commits below all
-        // flow through the (possibly durable) commit path.
+        // Stale mask or wounded claim: recompute phase 1 serially against
+        // the authoritative membership, inside the turnstile. The
+        // recomputation only proposes, so the commits below all flow
+        // through the (possibly durable) commit path.
         run.speculation_aborts.fetch_add(1, std::memory_order_relaxed);
         candidate.clear();
-        std::unique_ptr<cluster::Registry> scratch = run.registry->Snapshot();
-        const cluster::ClusterId first_new = scratch->cluster_count();
-        cluster::DistributedTConnClusterer clusterer(graph_, service.k,
-                                                     scratch.get());
-        auto recomputed = clusterer.ClusterFor(host);
+        auto recomputed =
+            clusterer.Propose(host, run.registry->ActiveMask(), nullptr);
         if (!recomputed.ok()) {
           commit_status = recomputed.status();
         } else {
           involved = recomputed.value().involved_users;
-          for (cluster::ClusterId id = first_new;
-               id < scratch->cluster_count(); ++id) {
-            candidate.push_back(scratch->info(id));
-          }
+          candidate = std::move(recomputed.value().clusters);
         }
       } else {
         involved = spec_involved;
@@ -914,9 +916,11 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     run.home_of[ordinal] = run.map.HomeShardOf(run.hosts[ordinal]);
   }
 
+  run.commit_rank.assign(service.requests, kNotAdmitted);
   AdmitWorkload(run);
   if (service.stall_ordinal != kNoStallOrdinal &&
-      run.commit_rank.find(service.stall_ordinal) == run.commit_rank.end()) {
+      (service.stall_ordinal >= service.requests ||
+       run.commit_rank[service.stall_ordinal] == kNotAdmitted)) {
     return util::InvalidArgumentError(
         "stall_ordinal names a request that was not admitted");
   }
@@ -925,17 +929,15 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   // request -- claim conflicts resolve in arrival order wherever the
   // contested user is homed. Baseline mechanisms never claim, so their
   // runs skip the ticket space entirely.
-  for (uint64_t ordinal :
-       run.mechanism == nullptr ? run.admitted_ordinals
-                                : std::vector<uint64_t>{}) {
-    const cluster::Ticket ticket =
-        static_cast<cluster::Ticket>(run.commit_rank.at(ordinal) + 1);
+  const uint64_t ticketed =
+      run.mechanism == nullptr ? run.admitted_ordinals.size() : 0;
+  for (uint64_t rank = 0; rank < ticketed; ++rank) {
     for (std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
          run.coordinators) {
-      const cluster::Ticket opened = coordinator->OpenRequestAt(ticket);
-      NELA_CHECK_EQ(opened, ticket);
+      const cluster::Ticket opened =
+          coordinator->OpenRequestAt(TicketOf(rank));
+      NELA_CHECK_EQ(opened, TicketOf(rank));
     }
-    run.tickets.emplace(ordinal, ticket);
   }
 
   const uint32_t thread_count = std::max(1u, service.threads);

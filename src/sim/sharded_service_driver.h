@@ -19,8 +19,13 @@
 //    from the workload seed, so the shed set is a function of (config,
 //    thread count, K). With offered_rate_per_ms = 0 the queue model is off:
 //    the closed-batch mode, everything admitted at t=0.
-//  * Speculation (parallel) -- each request snapshots the registry, runs
-//    phase-1 clustering on the private snapshot, and claims its candidate's
+//  * Speculation (parallel) -- a request whose host is already clustered
+//    in the live registry is a reuse hit and copies nothing (membership is
+//    immutable once registered; the turnstile checks again). Any other
+//    request copies the remaining-WPG mask and its version under the
+//    registry lock (Registry::ActiveMask), has phase 1 *propose* its
+//    clusters over that mask without registering them
+//    (DistributedTConnClusterer::Propose), and claims the proposal's
 //    users. One wound-wait ClaimCoordinator per shard arbitrates the users
 //    homed there, all sharing the GLOBAL admission-rank priority
 //    (ClaimCoordinator::OpenRequestAt), so conflicts resolve in favor of
@@ -29,15 +34,16 @@
 //    foreign shards; any failure releases everything and retries -- the
 //    cross-shard claim handoff. The globally oldest request succeeds
 //    everywhere, so the handoff is deadlock-free without a global lock.
+//    Release costs O(users the ticket holds) per coordinator, so a request
+//    pays for what it claimed, not for the population.
 //  * Commit -- a single global turnstile serializes commits in admission
 //    order for every K: request o commits only after every older admitted
-//    request has, and only if its snapshot version still matches the
-//    registry (and its claims were not wounded); otherwise phase 1
-//    recomputes serially inside the turnstile. The registry therefore
-//    evolves exactly as a sequential run would, and the final digest is
-//    INDEPENDENT of the thread count and the shard count: sharding
-//    relabels ownership and arbitration, never what gets clustered (see
-//    sharded_registry.h).
+//    request has, and only if its mask version still matches the registry
+//    (and its claims were not wounded); otherwise phase 1 proposes again,
+//    serially inside the turnstile. The registry therefore evolves exactly
+//    as a sequential run would, and the final digest is INDEPENDENT of the
+//    thread count and the shard count: sharding relabels ownership and
+//    arbitration, never what gets clustered (see sharded_registry.h).
 //  * Region latch (per cluster) -- the earliest request that finds its
 //    committed cluster region-less becomes the cluster's publisher; later
 //    requests wait for the published region and reuse it. Should the
@@ -243,7 +249,7 @@ struct ServiceResult {
   // Contention statistics (scheduling-dependent).
   uint64_t claim_conflicts = 0;
   uint64_t claim_wounds = 0;
-  // Speculative candidates discarded at the turnstile (stale snapshot or
+  // Speculative candidates discarded at the turnstile (stale mask or
   // wounded claim) and recomputed serially.
   uint64_t speculation_aborts = 0;
   // Claim-failure retries during speculation.

@@ -3,10 +3,13 @@
 // of simultaneous cloaking requests without deadlock or reciprocity
 // violations.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "data/generators.h"
 #include "graph/wpg_builder.h"
 #include "scenario_fixtures.h"
+#include "util/proptest.h"
 #include "util/rng.h"
 
 namespace nela::cluster {
@@ -76,6 +80,186 @@ TEST(ClaimCoordinatorTest, ReclaimBySameTicketIsIdempotent) {
   EXPECT_TRUE(coordinator.TryClaim(a, {1, 2}));
   EXPECT_EQ(coordinator.HolderOf(0), a);
   EXPECT_EQ(coordinator.HolderOf(2), a);
+}
+
+TEST(ClaimCoordinatorTest, OverlappingClaimsReleaseTogether) {
+  ClaimCoordinator coordinator(4);
+  const Ticket a = coordinator.OpenRequest();
+  EXPECT_TRUE(coordinator.TryClaim(a, {0, 1}));
+  EXPECT_TRUE(coordinator.TryClaim(a, {1, 2}));
+  coordinator.Release(a);
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_EQ(coordinator.HolderOf(v), kNoTicket) << "user " << v;
+  }
+}
+
+TEST(ClaimCoordinatorTest, WoundedTicketThatClaimsAgainIsFullyReleased) {
+  ClaimCoordinator coordinator(5);
+  const Ticket older = coordinator.OpenRequest();
+  const Ticket younger = coordinator.OpenRequest();
+  EXPECT_TRUE(coordinator.TryClaim(younger, {0, 1}));
+  EXPECT_TRUE(coordinator.TryClaim(older, {1, 2}));  // wounds younger
+  EXPECT_TRUE(coordinator.WasWounded(younger));
+  // The wounded request retries over a user it held before the wound.
+  EXPECT_TRUE(coordinator.TryClaim(younger, {0, 3}));
+  coordinator.Release(younger);
+  EXPECT_EQ(coordinator.HolderOf(0), kNoTicket);
+  EXPECT_EQ(coordinator.HolderOf(3), kNoTicket);
+  // The release must not reach users the wound handed to the older ticket.
+  EXPECT_EQ(coordinator.HolderOf(1), older);
+  EXPECT_EQ(coordinator.HolderOf(2), older);
+  coordinator.Release(older);
+  for (VertexId v = 0; v < 5; ++v) {
+    EXPECT_EQ(coordinator.HolderOf(v), kNoTicket) << "user " << v;
+  }
+}
+
+// The coordinator's semantics written the direct way: Release and wounding
+// scan the whole holder table. The property below holds ClaimCoordinator
+// (which walks per-ticket claim lists instead) to it after every step.
+class FullScanCoordinator {
+ public:
+  explicit FullScanCoordinator(uint32_t users) : holder_(users, kNoTicket) {}
+
+  Ticket OpenRequest() { return OpenRequestAt(next_ticket_); }
+  Ticket OpenRequestAt(Ticket ticket) {
+    if (next_ticket_ <= ticket) next_ticket_ = ticket + 1;
+    if (wounded_.size() <= ticket) wounded_.resize(ticket + 1, 0);
+    return ticket;
+  }
+  bool TryClaim(Ticket ticket, const std::vector<VertexId>& members) {
+    std::vector<Ticket> to_wound;
+    for (VertexId v : members) {
+      const Ticket holder = holder_[v];
+      if (holder == kNoTicket || holder == ticket) continue;
+      ++conflicts;
+      if (holder < ticket) return false;
+      to_wound.push_back(holder);
+    }
+    std::sort(to_wound.begin(), to_wound.end());
+    to_wound.erase(std::unique(to_wound.begin(), to_wound.end()),
+                   to_wound.end());
+    for (Ticket victim : to_wound) {
+      ++wounds;
+      wounded_[victim] = 1;
+      Release(victim);
+    }
+    for (VertexId v : members) holder_[v] = ticket;
+    return true;
+  }
+  bool WasWounded(Ticket ticket) {
+    if (ticket >= wounded_.size() || !wounded_[ticket]) return false;
+    wounded_[ticket] = 0;
+    return true;
+  }
+  void Release(Ticket ticket) {
+    for (Ticket& holder : holder_) {
+      if (holder == ticket) holder = kNoTicket;
+    }
+  }
+  Ticket HolderOf(VertexId v) const { return holder_[v]; }
+
+  uint64_t conflicts = 0;
+  uint64_t wounds = 0;
+
+ private:
+  std::vector<Ticket> holder_;
+  std::vector<uint8_t> wounded_;
+  Ticket next_ticket_ = 1;
+};
+
+TEST(ClaimCoordinatorTest, ClaimListsMatchFullScanSemantics) {
+  util::PropSpec spec;
+  spec.name = "ClaimCoordinatorTest.ClaimListsMatchFullScanSemantics";
+  spec.base_seed = 0xc1a1'5e77'0000'0019ull;
+  spec.iterations = 200;
+  spec.min_size = 1;
+  spec.max_size = 300;  // operations per case
+  const util::Property property =
+      [](util::Rng& rng, uint32_t steps) -> std::optional<std::string> {
+    const auto users = static_cast<uint32_t>(rng.NextInt(2, 64));
+    // Most draws hit a small hot set, so claims overlap heavily.
+    const auto hot = static_cast<uint32_t>(rng.NextInt(2, 8));
+    ClaimCoordinator coordinator(users);
+    FullScanCoordinator model(users);
+    std::set<Ticket> opened;
+    auto draw_user = [&] {
+      return static_cast<VertexId>(
+          rng.NextUint64(rng.NextBernoulli(0.75) ? std::min(hot, users)
+                                                 : users));
+    };
+    auto draw_ticket = [&] {
+      auto it = opened.begin();
+      std::advance(it, static_cast<long>(rng.NextUint64(opened.size())));
+      return *it;
+    };
+    for (uint32_t step = 0; step < steps; ++step) {
+      const std::string at = "step " + std::to_string(step) + ": ";
+      const uint64_t op = opened.empty() ? 0 : rng.NextUint64(100);
+      if (op < 15) {
+        // Explicit tickets model the driver's admission ranks; auto ones
+        // continue above the highest explicit ticket.
+        const Ticket explicit_ticket = 1 + rng.NextUint64(24);
+        if (rng.NextBernoulli(0.5) && opened.count(explicit_ticket) == 0) {
+          coordinator.OpenRequestAt(explicit_ticket);
+          model.OpenRequestAt(explicit_ticket);
+          opened.insert(explicit_ticket);
+        } else {
+          const Ticket got = coordinator.OpenRequest();
+          const Ticket want = model.OpenRequest();
+          if (got != want) {
+            return at + "OpenRequest returned " + std::to_string(got) +
+                   ", model " + std::to_string(want);
+          }
+          opened.insert(got);
+        }
+      } else if (op < 60) {
+        const Ticket ticket = draw_ticket();
+        std::vector<VertexId> members;
+        // Empty and duplicate-carrying claim sets included.
+        const uint64_t count = rng.NextUint64(7);
+        for (uint64_t i = 0; i < count; ++i) members.push_back(draw_user());
+        const bool got = coordinator.TryClaim(ticket, members);
+        const bool want = model.TryClaim(ticket, members);
+        if (got != want) {
+          return at + "TryClaim(" + std::to_string(ticket) + ") returned " +
+                 std::to_string(got) + ", model " + std::to_string(want);
+        }
+      } else if (op < 85) {
+        const Ticket ticket = draw_ticket();
+        coordinator.Release(ticket);
+        model.Release(ticket);
+      } else {
+        const Ticket ticket = draw_ticket();
+        const bool got = coordinator.WasWounded(ticket);
+        const bool want = model.WasWounded(ticket);
+        if (got != want) {
+          return at + "WasWounded(" + std::to_string(ticket) +
+                 ") returned " + std::to_string(got) + ", model " +
+                 std::to_string(want);
+        }
+      }
+      for (VertexId v = 0; v < users; ++v) {
+        if (coordinator.HolderOf(v) != model.HolderOf(v)) {
+          return at + "HolderOf(" + std::to_string(v) + ") is " +
+                 std::to_string(coordinator.HolderOf(v)) + ", model " +
+                 std::to_string(model.HolderOf(v));
+        }
+      }
+      if (coordinator.conflicts_observed() != model.conflicts ||
+          coordinator.wounds_inflicted() != model.wounds) {
+        return at + "counters " +
+               std::to_string(coordinator.conflicts_observed()) + "/" +
+               std::to_string(coordinator.wounds_inflicted()) + ", model " +
+               std::to_string(model.conflicts) + "/" +
+               std::to_string(model.wounds);
+      }
+    }
+    return std::nullopt;
+  };
+  const auto failure = util::RunProperty(spec, property);
+  ASSERT_FALSE(failure.has_value())
+      << failure->message << "\n" << failure->repro;
 }
 
 // Batched contention with REAL threads: N workers race overlapping claims

@@ -317,6 +317,51 @@ TEST_P(DistributedPropertyTest, RegisteredClustersAreValid) {
   }
 }
 
+// Propose reads and writes no registry, and registering its clusters in
+// order reproduces ClusterFor exactly: the same clusters (hence the same
+// digest), the same host cluster and the same involved-user count.
+TEST_P(DistributedPropertyTest, ProposeThenRegisterMatchesClusterFor) {
+  util::Rng rng(GetParam() * 43 + 7);
+  const uint32_t n = 25 + static_cast<uint32_t>(rng.NextUint64(25));
+  const Wpg graph = RandomGraph(rng, n, n, 5);
+  const uint32_t k = 2 + static_cast<uint32_t>(rng.NextUint64(4));
+
+  Registry direct(n);
+  DistributedTConnClusterer direct_clusterer(graph, k, &direct);
+  Registry proposed(n);
+  DistributedTConnClusterer proposer(graph, k, &proposed);
+  for (VertexId host = 0; host < n; ++host) {
+    auto outcome = direct_clusterer.ClusterFor(host);
+    ASSERT_TRUE(outcome.ok());
+    if (outcome.value().reused) {
+      auto refused = proposer.Propose(host, proposed.ActiveMask(), nullptr);
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(),
+                util::StatusCode::kFailedPrecondition);
+      continue;
+    }
+    uint64_t version = 0;
+    auto proposal = proposer.Propose(host, proposed.ActiveMask(&version),
+                                     nullptr);
+    ASSERT_TRUE(proposal.ok());
+    EXPECT_EQ(proposed.version(), version) << "Propose registered";
+    EXPECT_EQ(proposal.value().involved_users,
+              outcome.value().involved_users);
+    int64_t host_clusters = 0;
+    for (const ClusterInfo& info : proposal.value().clusters) {
+      EXPECT_TRUE(std::is_sorted(info.members.begin(), info.members.end()));
+      host_clusters += std::count(info.members.begin(), info.members.end(),
+                                  host);
+      ASSERT_TRUE(
+          proposed.Register(info.members, info.connectivity, info.valid)
+              .ok());
+    }
+    EXPECT_EQ(host_clusters, 1);
+    EXPECT_EQ(proposed.ClusterOf(host), outcome.value().cluster_id);
+    ASSERT_EQ(proposed.Digest(), direct.Digest()) << "host " << host;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DistributedPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12));

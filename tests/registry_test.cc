@@ -13,7 +13,7 @@ TEST(RegistryTest, StartsUnclustered) {
   for (graph::VertexId v = 0; v < 4; ++v) {
     EXPECT_FALSE(registry.IsClustered(v));
     EXPECT_EQ(registry.ClusterOf(v), kNoCluster);
-    EXPECT_TRUE(registry.active()[v]);
+    EXPECT_TRUE(registry.ActiveMask()[v]);
   }
 }
 
@@ -28,7 +28,7 @@ TEST(RegistryTest, RegisterAssignsAllMembers) {
   EXPECT_FALSE(registry.IsClustered(0));
   EXPECT_EQ(registry.ClusterOf(1), id.value());
   EXPECT_EQ(registry.ClusterOf(3), id.value());
-  EXPECT_FALSE(registry.active()[1]);
+  EXPECT_FALSE(registry.ActiveMask()[1]);
   // Members are stored sorted: reciprocity means one shared set.
   EXPECT_EQ(registry.info(id.value()).members,
             (std::vector<graph::VertexId>{1, 3}));
@@ -76,6 +76,21 @@ TEST(RegistryTest, InvalidClusterIsRecorded) {
   auto id = registry.Register({0}, 0.0, false);
   ASSERT_TRUE(id.ok());
   EXPECT_FALSE(registry.info(id.value()).valid);
+}
+
+TEST(RegistryTest, ActiveMaskIsACopyTakenWithTheVersion) {
+  Registry registry(3);
+  uint64_t version = 99;
+  const std::vector<bool> before = registry.ActiveMask(&version);
+  EXPECT_EQ(version, 0u);
+  ASSERT_TRUE(registry.Register({2, 0}, 1.0, true).ok());
+  // The copy does not follow later registrations; a fresh copy does, and
+  // carries the bumped version.
+  EXPECT_EQ(before, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(registry.ActiveMask(&version),
+            (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(version, registry.version());
 }
 
 }  // namespace
