@@ -67,9 +67,9 @@ int Run(int argc, char** argv) {
   flags.AddInt64("k", &k, "anonymity requirement");
   flags.AddInt64("requests", &requests, "cloaking requests S");
   flags.AddString("output_dir", &output_dir, "where CSVs are written");
-  nela::util::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    return status.code() == nela::util::StatusCode::kOutOfRange ? 0 : 1;
+  int exit_code = 0;
+  if (!nela::bench::ParseFlagsOrExit(flags, argc, argv, &exit_code)) {
+    return exit_code;
   }
 
   std::printf("=== Ablation: Algorithm 2 isolation check on/off ===\n");

@@ -30,9 +30,9 @@ int Run(int argc, char** argv) {
   flags.AddDouble("cb", &cb, "verification cost Cb");
   flags.AddInt64("max_n", &max_n, "largest N to tabulate");
   flags.AddString("output_dir", &output_dir, "where CSVs are written");
-  nela::util::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    return status.code() == nela::util::StatusCode::kOutOfRange ? 0 : 1;
+  int exit_code = 0;
+  if (!nela::bench::ParseFlagsOrExit(flags, argc, argv, &exit_code)) {
+    return exit_code;
   }
 
   std::printf("=== Ablation: exact DP (Eq. 3) vs closed form (Eq. 5) ===\n");

@@ -1,9 +1,9 @@
 // Batch throughput bench: the service driver in closed-batch mode (one
 // shard, every request admitted at t=0) swept over worker-thread counts
 // and batch sizes S. Per cell it reports requests/sec, wall-clock latency
-// percentiles, and the contention profile (claim conflicts/wounds,
-// speculation aborts/retries) -- plus the registry digest and reciprocity
-// audit, which must agree across thread counts for the same S.
+// percentiles, and the speculations the commit turnstile discarded as stale
+// -- plus the registry digest and reciprocity audit, which must agree
+// across thread counts for the same S.
 
 #include <cinttypes>
 #include <cstdio>
@@ -38,7 +38,7 @@ int Run(int argc, char** argv) {
     return exit_code;
   }
 
-  std::printf("=== Closed batch: throughput and contention, "
+  std::printf("=== Closed batch: throughput and speculation aborts, "
               "threads x S ===\n");
   std::printf("users=%lld k=%lld master_seed=%lld workload_seed=%lld\n\n",
               static_cast<long long>(users), static_cast<long long>(k),
@@ -53,12 +53,11 @@ int Run(int argc, char** argv) {
   const nela::core::BoundingParams params;
   nela::util::CsvWriter csv;
   csv.SetHeader({"threads", "S", "requests_per_sec", "wall_seconds",
-                 "p50_latency_ms", "p99_latency_ms", "claim_conflicts",
-                 "claim_wounds", "speculation_aborts", "speculation_retries",
+                 "p50_latency_ms", "p99_latency_ms", "speculation_aborts",
                  "clusters_formed", "registry_digest", "reciprocity_ok"});
   nela::bench::PrintRow({"threads", "S", "req/sec", "p50 ms", "p99 ms",
-                         "conflicts", "spec aborts", "digest"});
-  nela::bench::PrintRule(8);
+                         "spec aborts", "digest"});
+  nela::bench::PrintRule(7);
   for (int64_t requests : {256ll, 1024ll}) {
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       nela::sim::ShardedServiceConfig config;
@@ -92,17 +91,13 @@ int Run(int argc, char** argv) {
            nela::util::CsvWriter::Cell(r.requests_per_sec),
            nela::util::CsvWriter::Cell(r.p50_latency_ms),
            nela::util::CsvWriter::Cell(r.p99_latency_ms),
-           std::to_string(r.claim_conflicts),
            std::to_string(r.speculation_aborts), digest});
       csv.AddRow({std::to_string(threads), std::to_string(requests),
                   nela::util::CsvWriter::Cell(r.requests_per_sec),
                   nela::util::CsvWriter::Cell(r.wall_seconds),
                   nela::util::CsvWriter::Cell(r.p50_latency_ms),
                   nela::util::CsvWriter::Cell(r.p99_latency_ms),
-                  std::to_string(r.claim_conflicts),
-                  std::to_string(r.claim_wounds),
                   std::to_string(r.speculation_aborts),
-                  std::to_string(r.speculation_retries),
                   std::to_string(r.clusters_formed), digest,
                   r.reciprocity_ok ? "1" : "0"});
     }

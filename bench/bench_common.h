@@ -21,13 +21,18 @@
 namespace nela::bench {
 
 // Parses the registered flags. On failure, sets *exit_code (0 for --help,
-// 1 for a real parse error) and returns false; the bench should return
-// *exit_code immediately.
+// 1 for a real parse error, whose message goes to stderr) and returns
+// false; the bench should return *exit_code immediately.
 inline bool ParseFlagsOrExit(util::FlagParser& flags, int argc, char** argv,
                              int* exit_code) {
   const util::Status status = flags.Parse(argc, argv);
   if (status.ok()) return true;
-  *exit_code = status.code() == util::StatusCode::kOutOfRange ? 0 : 1;
+  if (status.code() == util::StatusCode::kOutOfRange) {
+    *exit_code = 0;  // --help: the usage text is already printed
+  } else {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    *exit_code = 1;
+  }
   return false;
 }
 

@@ -23,9 +23,9 @@ int Run(int argc, char** argv) {
   flags.AddInt64("users", &users, "population size");
   flags.AddInt64("requests", &requests, "cloaking requests S");
   flags.AddString("output_dir", &output_dir, "where CSVs are written");
-  nela::util::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    return status.code() == nela::util::StatusCode::kOutOfRange ? 0 : 1;
+  int exit_code = 0;
+  if (!nela::bench::ParseFlagsOrExit(flags, argc, argv, &exit_code)) {
+    return exit_code;
   }
 
   std::printf("=== Fig. 11: performance under various k ===\n");

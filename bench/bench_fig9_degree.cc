@@ -28,9 +28,9 @@ int Run(int argc, char** argv) {
   flags.AddInt64("requests", &requests, "cloaking requests S");
   flags.AddDouble("delta", &delta, "proximity threshold");
   flags.AddString("output_dir", &output_dir, "where CSVs are written");
-  nela::util::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    return status.code() == nela::util::StatusCode::kOutOfRange ? 0 : 1;
+  int exit_code = 0;
+  if (!nela::bench::ParseFlagsOrExit(flags, argc, argv, &exit_code)) {
+    return exit_code;
   }
 
   std::printf("=== Fig. 9: performance under various average degrees ===\n");

@@ -4,8 +4,7 @@
 // throughput (admitted requests no crash aborted, per second of
 // driver.Run() timed from outside the driver), the admission outcome mix,
 // the simulated queue-wait percentiles (global and worst shard), and the
-// cross-shard handoff rate (fraction of successful claim acquisitions
-// that touched more than one shard's coordinator). A digest check against
+// committed clusters that straddle a shard boundary. A digest check against
 // the K=1 run guards every cell: a shard-count-dependent digest is a bench
 // error, not a data point.
 //
@@ -42,8 +41,6 @@ struct ShardSample {
   uint64_t shed_queue_overflow = 0;
   uint64_t shed_deadline = 0;
   uint64_t cross_shard_clusters = 0;
-  uint64_t cross_shard_handoffs = 0;
-  double handoff_rate = 0.0;  // handoffs / admitted
   // Served requests per wall second of driver.Run().
   double requests_per_sec = 0.0;
   // Simulated queue wait (queue model, not measured).
@@ -74,14 +71,13 @@ void WriteShardBenchJson(const std::string& output_dir,
         "    {\"shards\": %u, \"load_multiplier\": %.3f, "
         "\"admitted\": %" PRIu64 ", \"shed_queue_overflow\": %" PRIu64
         ", \"shed_deadline\": %" PRIu64 ", \"cross_shard_clusters\": %" PRIu64
-        ", \"cross_shard_handoffs\": %" PRIu64 ", \"handoff_rate\": %.4f, "
-        "\"requests_per_sec\": %.1f, \"sim_queue_wait_p50_ms\": %.4f, "
+        ", \"requests_per_sec\": %.1f, \"sim_queue_wait_p50_ms\": %.4f, "
         "\"sim_queue_wait_p99_ms\": %.4f, "
         "\"sim_queue_wait_max_shard_p99_ms\": %.4f}%s\n",
         s.shards, s.load_multiplier, s.admitted, s.shed_queue_overflow,
-        s.shed_deadline, s.cross_shard_clusters, s.cross_shard_handoffs,
-        s.handoff_rate, s.requests_per_sec, s.sim_queue_wait_p50_ms,
-        s.sim_queue_wait_p99_ms, s.sim_queue_wait_max_shard_p99_ms,
+        s.shed_deadline, s.cross_shard_clusters, s.requests_per_sec,
+        s.sim_queue_wait_p50_ms, s.sim_queue_wait_p99_ms,
+        s.sim_queue_wait_max_shard_p99_ms,
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -144,9 +140,9 @@ int Run(int argc, char** argv) {
   nela::util::CsvWriter csv;
   csv.SetHeader({"shards", "load_multiplier", "admitted",
                  "shed_queue_overflow", "shed_deadline",
-                 "cross_shard_clusters", "cross_shard_handoffs",
-                 "handoff_rate", "requests_per_sec", "sim_queue_wait_p50_ms",
-                 "sim_queue_wait_p99_ms", "sim_queue_wait_max_shard_p99_ms"});
+                 "cross_shard_clusters", "requests_per_sec",
+                 "sim_queue_wait_p50_ms", "sim_queue_wait_p99_ms",
+                 "sim_queue_wait_max_shard_p99_ms"});
 
   const double service_time_ms = 1.0;
   const double sustainable_per_ms =
@@ -157,8 +153,8 @@ int Run(int argc, char** argv) {
   bool have_reference = false;
 
   nela::bench::PrintRow({"shards", "load_x", "admitted", "shed", "xshard",
-                         "handoff", "req/s", "sim_p99", "sim_worst"});
-  nela::bench::PrintRule(9);
+                         "req/s", "sim_p99", "sim_worst"});
+  nela::bench::PrintRule(8);
   for (uint32_t shards : {1u, 4u, 16u}) {
     // multiplier 0 = closed batch; the rest exercise the queue model
     // around the sustainable rate.
@@ -211,12 +207,6 @@ int Run(int argc, char** argv) {
       sample.shed_queue_overflow = r.service.shed_queue_overflow;
       sample.shed_deadline = r.service.shed_deadline;
       sample.cross_shard_clusters = r.cross_shard_clusters;
-      sample.cross_shard_handoffs = r.cross_shard_handoffs;
-      sample.handoff_rate =
-          r.service.admitted > 0
-              ? static_cast<double>(r.cross_shard_handoffs) /
-                    static_cast<double>(r.service.admitted)
-              : 0.0;
       sample.requests_per_sec =
           static_cast<double>(r.service.admitted -
                               r.service.aborted_by_crash) /
@@ -236,7 +226,6 @@ int Run(int argc, char** argv) {
            std::to_string(sample.shed_queue_overflow +
                           sample.shed_deadline),
            std::to_string(sample.cross_shard_clusters),
-           nela::util::CsvWriter::Cell(sample.handoff_rate),
            nela::util::CsvWriter::Cell(sample.requests_per_sec),
            nela::util::CsvWriter::Cell(sample.sim_queue_wait_p99_ms),
            nela::util::CsvWriter::Cell(
@@ -247,8 +236,6 @@ int Run(int argc, char** argv) {
                   std::to_string(sample.shed_queue_overflow),
                   std::to_string(sample.shed_deadline),
                   std::to_string(sample.cross_shard_clusters),
-                  std::to_string(sample.cross_shard_handoffs),
-                  nela::util::CsvWriter::Cell(sample.handoff_rate),
                   nela::util::CsvWriter::Cell(sample.requests_per_sec),
                   nela::util::CsvWriter::Cell(sample.sim_queue_wait_p50_ms),
                   nela::util::CsvWriter::Cell(sample.sim_queue_wait_p99_ms),

@@ -18,9 +18,9 @@
 // Propose() runs the three steps over a caller-supplied remaining-WPG mask
 // and returns the clusters without registering them; ClusterFor() is the
 // reuse check, Propose() over the registry's mask, then one Register per
-// proposed cluster. Concurrent callers (the service driver's speculation,
-// ConcurrentCloakingSession) propose from a locked mask copy and commit
-// the proposal themselves.
+// proposed cluster. The service driver's speculation proposes from a mask
+// copied under the registry lock and commits the proposal itself, in its
+// commit turnstile, only if the mask's version is still current.
 //
 // Fault tolerance: against a faulty network, every adjacency exchange is
 // retransmitted with the configured backoff; a peer whose exchange cannot

@@ -22,10 +22,6 @@ util::Status RunPipeline(const std::vector<Stage*>& stages,
     ctx.trace().Record(record.stage, record.code, record.detail);
     state.outcome.degradation.stages.push_back(std::move(record));
   }
-  if (state.ticket != cluster::kNoTicket && state.coordinator != nullptr) {
-    state.coordinator->Release(state.ticket);
-    state.ticket = cluster::kNoTicket;
-  }
   return status;
 }
 

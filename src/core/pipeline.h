@@ -3,7 +3,7 @@
 //   ResolveReuse -> Cluster -> ClaimCommit -> SecureBound -> Publish
 //
 // Each stage implements the small core::Stage interface, so the clusterer,
-// the claim coordinator, the secure bounding protocol, and the registry
+// the commit record, the secure bounding protocol, and the registry
 // publish are invoked, traced, and degraded uniformly: RunPipeline appends
 // one StageRecord per stage to the outcome's DegradationReport and one
 // deterministic TraceEvent per stage to the request's trace sink, instead
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bounding/protocol.h"
-#include "cluster/concurrency.h"
 #include "cluster/registry.h"
 #include "core/cloaking_engine.h"
 #include "core/request_context.h"
@@ -51,10 +50,6 @@ struct PipelineState {
   // The host's cluster once one exists. Points into the registry's stable
   // (deque-backed) storage; membership never mutates after Register.
   const cluster::ClusterInfo* cluster_info = nullptr;
-  // Claim plumbing for concurrent batches; null in single-request use.
-  // RunPipeline releases any ticket still held when the walk ends.
-  cluster::ClaimCoordinator* coordinator = nullptr;
-  cluster::Ticket ticket = cluster::kNoTicket;
   // Shard placement of this request; defaults mean "unsharded".
   ShardContext shard;
   // Set by a stage that finished (or degraded) the request early; the
@@ -82,7 +77,6 @@ class Stage {
 // StageRecord is appended to state.outcome.degradation.stages and one
 // TraceEvent to ctx.trace(); both carry only deterministic facts, so a
 // request's trace is bit-identical across runs and thread counts.
-// Releases state.ticket (if any) before returning.
 [[nodiscard]] util::Status RunPipeline(const std::vector<Stage*>& stages,
                          RequestContext& ctx, PipelineState& state);
 

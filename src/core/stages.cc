@@ -1,7 +1,6 @@
 #include "core/stages.h"
 
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -82,21 +81,7 @@ util::Status ClusterStage::Run(RequestContext& ctx, PipelineState& state,
 util::Status ClaimCommitStage::Run(RequestContext& ctx, PipelineState& state,
                                    StageRecord& record) {
   (void)ctx;
-  if (state.coordinator == nullptr) {
-    record.detail = "no-coordinator";
-    return util::Status::Ok();
-  }
   NELA_CHECK(state.cluster_info != nullptr);
-  if (state.ticket == cluster::kNoTicket) {
-    state.ticket = state.coordinator->OpenRequest();
-  }
-  // Wound-wait makes this loop finite: a failure means an older request
-  // holds some member, and older requests never wait on younger ones, so
-  // their claims are always eventually released.
-  while (!state.coordinator->TryClaim(state.ticket,
-                                      state.cluster_info->members)) {
-    std::this_thread::yield();
-  }
   record.detail =
       "members=" + std::to_string(state.cluster_info->members.size());
   if (state.shard.shard_count > 1) {

@@ -60,11 +60,13 @@ class ClusterStage : public Stage {
   cluster::Registry* registry_;
 };
 
-// §VII concurrency control: claims the cluster's members through the
-// wound-wait coordinator in state.coordinator (opened ticket required).
-// With no coordinator configured -- the single-request engine -- the stage
-// records itself as a no-op. The claim is released by RunPipeline when the
-// walk ends.
+// Records the committed cluster: its size and, once the service runs
+// sharded, the host's home shard, the cluster's owner shard, and whether
+// the members cross shards. The commit itself happens before this stage --
+// in ClusterStage for the engine, in the service driver's commit turnstile
+// for concurrent requests -- so the stage decides nothing and never waits.
+// The name predates the removal of per-user claims; the end-to-end
+// benchmark keys its per-stage timing on it.
 class ClaimCommitStage : public Stage {
  public:
   const char* name() const override { return "claim_commit"; }

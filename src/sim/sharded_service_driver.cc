@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <queue>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include <cstring>
 
-#include "cluster/concurrency.h"
 #include "cluster/distributed_tconn.h"
 #include "cluster/registry.h"
 #include "cluster/sharded_registry.h"
@@ -54,12 +51,6 @@ uint64_t DoubleBits(double value) {
 // commit_rank of a request that was shed at admission.
 constexpr uint64_t kNotAdmitted = ~0ull;
 
-// Tickets carry the GLOBAL wound-wait priority: the admission rank, offset
-// past kNoTicket.
-cluster::Ticket TicketOf(uint64_t rank) {
-  return static_cast<cluster::Ticket>(rank + 1);
-}
-
 util::Status CrashError(net::ProcessCrashPoint point) {
   return util::UnavailableError(
       std::string("simulated process crash at ") +
@@ -96,9 +87,6 @@ struct ShardedServiceDriver::RunState {
   // mechanism != kClusterBound); ProcessRequest then routes every request
   // through the independent mechanism path.
   std::unique_ptr<core::Mechanism> mechanism;
-  // One wound-wait arbiter per shard, all sharing the global admission-rank
-  // ticket space (OpenRequestAt).
-  std::vector<std::unique_ptr<cluster::ClaimCoordinator>> coordinators;
   std::vector<data::UserId> hosts;
   // Ordinal -> home shard of the host (the routing decision).
   std::vector<cluster::ShardId> home_of;
@@ -110,23 +98,21 @@ struct ShardedServiceDriver::RunState {
   // Admitted ordinals in ordinal order; workers pull indexes into this.
   std::vector<uint64_t> admitted_ordinals;
   // Ordinal -> dense rank among admitted requests (drives the turnstile),
-  // kNotAdmitted for a shed request. The request's ticket is TicketOf(rank).
+  // kNotAdmitted for a shed request.
   std::vector<uint64_t> commit_rank;
   std::atomic<uint64_t> next_work{0};
-  std::atomic<uint64_t> speculation_retries{0};
   std::atomic<uint64_t> speculation_aborts{0};
   std::atomic<uint64_t> watchdog_requeues{0};
-  std::atomic<uint64_t> cross_shard_handoffs{0};
 
   // One mutex coordinates the commit turnstile, the per-cluster region
   // latches, the watchdog parking lot, and the halt flag (decisions
   // interleave; contention is negligible next to the clustering/bounding
   // work done outside it). Lock hierarchy: mu precedes every lock taken
-  // inside the turnstile -- each shard coordinator's lock, the durable
-  // registry's, the WAL streams', and the registry's. mu is a local
-  // capability (RunState never escapes RunInternal), so the cross-class
-  // legs of that order are declared where the foreign locks can name each
-  // other (sharded_durable_registry.h) and documented here for the rest.
+  // inside the turnstile -- the durable registry's, the WAL streams', and
+  // the registry's. mu is a local capability (RunState never escapes
+  // RunInternal), so the cross-class legs of that order are declared where
+  // the foreign locks can name each other (sharded_durable_registry.h) and
+  // documented here for the rest.
   util::Mutex mu;
   util::CondVar turn_cv;
   util::CondVar region_cv;
@@ -138,9 +124,9 @@ struct ShardedServiceDriver::RunState {
     std::set<uint64_t> waiters;
   };
   std::unordered_map<cluster::ClusterId, Latch> latches GUARDED_BY(mu);
-  // Stalled requests awaiting rescue (ordinal -> ticket still holding its
-  // claims). Ordered so the oldest is rescued first.
-  std::map<uint64_t, cluster::Ticket> parked GUARDED_BY(mu);
+  // Ordinals of stalled requests awaiting rescue, ordered so the oldest is
+  // rescued first.
+  std::set<uint64_t> parked GUARDED_BY(mu);
   // Set when a scheduled process crash fires: workers unwind without
   // delivering further outcomes, exactly as a dying process would.
   bool halted GUARDED_BY(mu) = false;
@@ -152,13 +138,7 @@ struct ShardedServiceDriver::RunState {
   util::Status first_error GUARDED_BY(mu);
 
   RunState(const data::Dataset& dataset, uint32_t shard_count)
-      : map(dataset, shard_count) {
-    coordinators.reserve(shard_count);
-    for (uint32_t shard = 0; shard < shard_count; ++shard) {
-      coordinators.push_back(
-          std::make_unique<cluster::ClaimCoordinator>(dataset.size()));
-    }
-  }
+      : map(dataset, shard_count) {}
 
   // Wakes every waiter so the halt propagates.
   void HaltLocked(net::ProcessCrashPoint point) REQUIRES(mu) {
@@ -179,61 +159,6 @@ ShardedServiceDriver::ShardedServiceDriver(const data::Dataset& dataset,
   NELA_CHECK(policy_factory_ != nullptr);
   NELA_CHECK_GE(config_.service.k, 1u);
   NELA_CHECK_GE(config_.shards, 1u);
-}
-
-bool ShardedServiceDriver::TryClaimAcross(
-    RunState& run, cluster::Ticket ticket, cluster::ShardId home,
-    const std::vector<graph::VertexId>& members) {
-  const uint32_t shard_count = run.map.shard_count();
-  if (shard_count == 1) {
-    return run.coordinators[0]->TryClaim(ticket, members);
-  }
-  // Bucket the claim set by arbiter: user u is always claimed through the
-  // coordinator of its home shard, whoever asks.
-  std::vector<std::vector<graph::VertexId>> buckets(shard_count);
-  for (graph::VertexId member : members) {
-    buckets[run.map.HomeShardOf(member)].push_back(member);
-  }
-  std::vector<cluster::ShardId> order;
-  if (!buckets[home].empty()) order.push_back(home);
-  for (cluster::ShardId shard = 0; shard < shard_count; ++shard) {
-    if (shard != home && !buckets[shard].empty()) order.push_back(shard);
-  }
-  // Home-first, then ascending foreign shards; all-or-nothing. Liveness:
-  // the globally oldest ticket never fails (wound-wait leaves it no one
-  // older to lose to), and everyone else releases everything on failure,
-  // so no hold-and-wait cycle can form across coordinators.
-  for (size_t taken = 0; taken < order.size(); ++taken) {
-    if (!run.coordinators[order[taken]]->TryClaim(ticket,
-                                                  buckets[order[taken]])) {
-      for (size_t held = 0; held < taken; ++held) {
-        run.coordinators[order[held]]->Release(ticket);
-      }
-      return false;
-    }
-  }
-  if (order.size() > 1) {
-    run.cross_shard_handoffs.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
-}
-
-void ShardedServiceDriver::ReleaseAll(RunState& run, cluster::Ticket ticket) {
-  for (std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
-       run.coordinators) {
-    coordinator->Release(ticket);
-  }
-}
-
-bool ShardedServiceDriver::AnyWounded(RunState& run, cluster::Ticket ticket) {
-  bool wounded = false;
-  // Every coordinator is asked (the call clears the flag), so a wound in a
-  // foreign shard is never left to leak into a later request's check.
-  for (std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
-       run.coordinators) {
-    if (coordinator->WasWounded(ticket)) wounded = true;
-  }
-  return wounded;
 }
 
 void ShardedServiceDriver::FillShedRecord(RunState& run, uint64_t ordinal,
@@ -380,29 +305,24 @@ void ShardedServiceDriver::AdmitWorkload(RunState& run) {
 
 bool ShardedServiceDriver::TryRescue(RunState& run, uint64_t max_rank) {
   uint64_t parked_ordinal = 0;
-  cluster::Ticket parked_ticket = cluster::kNoTicket;
   {
     util::MutexLock lock(run.mu);
     if (run.halted) return false;
-    bool found = false;
-    for (const auto& [ordinal, ticket] : run.parked) {
-      // Only rescue a request whose commit precedes `max_rank`: rescuing a
-      // younger request from inside an older one's turnstile wait would
-      // re-enter a wait that the rescuer itself blocks.
-      if (run.commit_rank[ordinal] < max_rank) {
-        parked_ordinal = ordinal;
-        parked_ticket = ticket;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-    run.parked.erase(parked_ordinal);
+    // Only rescue a request whose commit precedes `max_rank`: rescuing a
+    // younger request from inside an older one's turnstile wait would
+    // re-enter a wait that the rescuer itself blocks.
+    const auto found =
+        std::find_if(run.parked.begin(), run.parked.end(),
+                     [&run, max_rank](uint64_t ordinal) {
+                       return run.commit_rank[ordinal] < max_rank;
+                     });
+    if (found == run.parked.end()) return false;
+    parked_ordinal = *found;
+    run.parked.erase(found);
   }
-  // Roll the stalled attempt's claims back and re-execute from scratch; the
-  // abandoned attempt consumed nothing from the request's context, so the
-  // re-execution is bit-identical to a run without the stall.
-  ReleaseAll(run, parked_ticket);
+  // Re-execute from scratch: the abandoned attempt wrote nothing shared and
+  // consumed nothing from the request's context, so the re-execution is
+  // bit-identical to a run without the stall.
   run.watchdog_requeues.fetch_add(1, std::memory_order_relaxed);
   const util::Status status =
       ProcessRequest(run, parked_ordinal, /*allow_stall=*/false);
@@ -460,59 +380,41 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   if (record.queue_wait_ms > 0.0) {
     ctx.scope().RecordBackoff(record.queue_wait_ms);
   }
-  const cluster::Ticket ticket = TicketOf(rank);
   // Proposes; never registers (commits flow through the turnstile below).
   cluster::DistributedTConnClusterer clusterer(graph_, service.k,
                                                run.registry);
 
-  // --- Speculation (parallel, untraced: the candidate may be discarded,
-  // and claim conflicts are scheduling-dependent) ---------------------------
+  // --- Speculation (parallel, untraced: the candidate may be discarded) ---
+  // Reuse first, from the live registry: membership is immutable once
+  // registered and the turnstile checks again, so a hit needs no copy.
   uint64_t spec_version = 0;
   uint64_t spec_involved = 0;
   std::vector<cluster::ClusterInfo> candidate;
-  bool holds_claim = false;
-  while (true) {
-    // Reuse first, from the live registry: membership is immutable once
-    // registered and the turnstile checks again, so a hit needs no copy.
-    if (run.registry->IsClustered(host)) break;
+  bool speculated = false;
+  if (!run.registry->IsClustered(host)) {
     {
       util::MutexLock lock(run.mu);
-      if (run.halted) {
-        ReleaseAll(run, ticket);
-        return util::Status::Ok();  // aborted; reported as a crash abort
+      // Aborted; reported as a crash abort.
+      if (run.halted) return util::Status::Ok();
+    }
+    std::vector<bool> usable = run.registry->ActiveMask(&spec_version);
+    // A host already clear of the mask was clustered since the check: reuse.
+    if (usable[host]) {
+      auto speculative = clusterer.Propose(host, std::move(usable), nullptr);
+      // A failed proposal is reproduced serially at the turnstile.
+      if (speculative.ok()) {
+        spec_involved = speculative.value().involved_users;
+        candidate = std::move(speculative.value().clusters);
+        speculated = true;
       }
     }
-    (void)AnyWounded(run, ticket);  // clear any stale wound
-    std::vector<bool> usable = run.registry->ActiveMask(&spec_version);
-    if (!usable[host]) break;  // clustered since the check: reuse
-    auto speculative = clusterer.Propose(host, std::move(usable), nullptr);
-    if (!speculative.ok()) break;  // reproduced serially at the turnstile
-    spec_involved = speculative.value().involved_users;
-    candidate = std::move(speculative.value().clusters);
-    std::vector<graph::VertexId> claim_set;
-    for (const cluster::ClusterInfo& info : candidate) {
-      claim_set.insert(claim_set.end(), info.members.begin(),
-                       info.members.end());
-    }
-    if (!TryClaimAcross(run, ticket, home, claim_set)) {
-      // An older request holds users we need; it always finishes without
-      // waiting on us (wound-wait) -- unless it is parked (stalled), in
-      // which case the watchdog path below rolls it back. Either way,
-      // re-speculate on a fresher mask.
-      run.speculation_retries.fetch_add(1, std::memory_order_relaxed);
-      candidate.clear();
-      if (!TryRescue(run, rank)) std::this_thread::yield();
-      continue;
-    }
-    holds_claim = true;
-    break;
   }
 
-  // --- Stall injection (test-only): park while holding claims; whichever
+  // --- Stall injection (test-only): park after speculating; whichever
   // request this blocks rescues us via TryRescue --------------------------
   if (allow_stall && ordinal == service.stall_ordinal) {
     util::MutexLock lock(run.mu);
-    run.parked.emplace(ordinal, ticket);
+    run.parked.insert(ordinal);
     run.turn_cv.NotifyAll();
     run.region_cv.NotifyAll();
     return util::Status::Ok();  // this attempt is abandoned, not delivered
@@ -521,7 +423,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
   // --- Commit turnstile: requests commit membership in strict rank order
   // (= ordinal order among admitted requests) GLOBALLY, whatever K -- this
   // is precisely why the registry evolves identically for every shard
-  // count: sharding partitions arbitration and logging, never the commit
+  // count: sharding partitions routing and logging, never the commit
   // history --------------------------------------------------------------
   bool resolved_hit = false;
   cluster::ClusterId cid = cluster::kNoCluster;
@@ -536,11 +438,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       if (rescued) continue;
       if (run.next_commit != rank && !run.halted) run.turn_cv.Wait(lock);
     }
-    if (run.halted) {
-      lock.Unlock();
-      ReleaseAll(run, ticket);
-      return util::Status::Ok();
-    }
+    if (run.halted) return util::Status::Ok();
     if (run.registry->IsClustered(host)) {
       resolved_hit = true;
       cid = run.registry->ClusterOf(host);
@@ -549,12 +447,14 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       commit_status = CrashError(net::ProcessCrashPoint::kPreCommit);
       run.HaltLocked(net::ProcessCrashPoint::kPreCommit);
     } else {
-      const bool commit_speculation = holds_claim &&
-                                      !AnyWounded(run, ticket) &&
-                                      spec_version == run.registry->version();
+      // Propose reads nothing but the mask, and only Register changes the
+      // mask (bumping the version), so an unchanged version proves the
+      // speculation equals the serial result.
+      const bool commit_speculation =
+          speculated && spec_version == run.registry->version();
       if (!commit_speculation) {
-        // Stale mask or wounded claim: recompute phase 1 serially against
-        // the authoritative membership, inside the turnstile. The
+        // Stale mask (or no speculation): recompute phase 1 serially
+        // against the authoritative membership, inside the turnstile. The
         // recomputation only proposes, so the commits below all flow
         // through the (possibly durable) commit path.
         run.speculation_aborts.fetch_add(1, std::memory_order_relaxed);
@@ -633,17 +533,12 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
     }
     ++run.next_commit;
     run.turn_cv.NotifyAll();
-    if (run.halted) {
-      lock.Unlock();
-      ReleaseAll(run, ticket);
-      return util::Status::Ok();
-    }
+    if (run.halted) return util::Status::Ok();
   }
 
   record.host = host;
   record.ordinal = ordinal;
   if (!commit_status.ok()) {
-    ReleaseAll(run, ticket);
     ctx.trace().Record("cluster", commit_status.code(),
                        commit_status.message());
     record.trace = ctx.trace().ToString();
@@ -676,23 +571,13 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
       lock.Lock();
       if (!rescued && !run.halted) run.region_cv.Wait(lock);
     }
-    if (run.halted) {
-      lock.Unlock();
-      ReleaseAll(run, ticket);
-      return util::Status::Ok();
-    }
+    if (run.halted) return util::Status::Ok();
   }
 
   const cluster::ClusterInfo& info = run.registry->info(cid);
   core::PipelineState state;
   state.host = host;
   state.k = service.k;
-  // The pipeline's claim stage speaks to the home coordinator; foreign-
-  // homed members are already held in their own shards' coordinators by
-  // this same (global) ticket, so the stage's re-claim is idempotent for
-  // home members and merely redundant for foreign ones.
-  state.coordinator = run.coordinators[home].get();
-  state.ticket = ticket;
   state.cluster_info = &info;
   state.shard.shard_count = run.map.shard_count();
   state.shard.home_shard = home;
@@ -727,7 +612,6 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
          {"cluster", "claim_commit", "secure_bound", "publish"}) {
       append(stage, util::StatusCode::kOk, false, "skipped");
     }
-    ReleaseAll(run, ticket);
   } else {
     if (resolved_hit) {
       append("resolve_reuse", util::StatusCode::kOk, true,
@@ -754,10 +638,7 @@ util::Status ShardedServiceDriver::ProcessRequest(RunState& run,
                                run.network.get(), run.region_writer.get());
     const std::vector<core::Stage*> stages = {&claim_commit, &secure_bound,
                                               &publish};
-    // RunPipeline releases the ticket on the home coordinator; the foreign
-    // shards' holds are dropped right after.
     status = core::RunPipeline(stages, ctx, state);
-    ReleaseAll(run, ticket);
     {
       util::MutexLock lock(run.mu);
       run.latches[cid].computing = false;
@@ -846,7 +727,7 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   }
   if (baseline_mechanism && service.stall_ordinal != kNoStallOrdinal) {
     return util::InvalidArgumentError(
-        "stall injection targets the claim/turnstile machinery, which "
+        "stall injection targets the turnstile machinery, which "
         "baseline mechanisms bypass");
   }
   if (baseline_mechanism && !service.fault_plan.process_crashes.empty()) {
@@ -924,22 +805,6 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
     return util::InvalidArgumentError(
         "stall_ordinal names a request that was not admitted");
   }
-  // Tickets carry the GLOBAL wound-wait priority (admission rank), and
-  // every shard's coordinator registers the same ticket for the same
-  // request -- claim conflicts resolve in arrival order wherever the
-  // contested user is homed. Baseline mechanisms never claim, so their
-  // runs skip the ticket space entirely.
-  const uint64_t ticketed =
-      run.mechanism == nullptr ? run.admitted_ordinals.size() : 0;
-  for (uint64_t rank = 0; rank < ticketed; ++rank) {
-    for (std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
-         run.coordinators) {
-      const cluster::Ticket opened =
-          coordinator->OpenRequestAt(TicketOf(rank));
-      NELA_CHECK_EQ(opened, TicketOf(rank));
-    }
-  }
-
   const uint32_t thread_count = std::max(1u, service.threads);
   const util::WallTimer wall_timer;
   auto worker = [&run, this] {
@@ -1007,15 +872,8 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   result.crash_point = crash_point;
   result.records = std::move(run.records);
   result.wall_seconds = wall_seconds;
-  for (const std::unique_ptr<cluster::ClaimCoordinator>& coordinator :
-       run.coordinators) {
-    result.claim_conflicts += coordinator->conflicts_observed();
-    result.claim_wounds += coordinator->wounds_inflicted();
-  }
   result.speculation_aborts =
       run.speculation_aborts.load(std::memory_order_relaxed);
-  result.speculation_retries =
-      run.speculation_retries.load(std::memory_order_relaxed);
   result.watchdog_requeues =
       run.watchdog_requeues.load(std::memory_order_relaxed);
   if (run.durable != nullptr) result.wal_records = run.durable->wal_records();
@@ -1100,8 +958,6 @@ util::Result<ShardedServiceResult> ShardedServiceDriver::RunInternal(
   // Per-shard slice accounting and the shard-count-invariance digests.
   sharded_result.concatenated_digest = run.sharded->ConcatenatedDigest();
   sharded_result.cross_shard_clusters = run.sharded->CrossShardClusterCount();
-  sharded_result.cross_shard_handoffs =
-      run.cross_shard_handoffs.load(std::memory_order_relaxed);
   for (uint32_t shard = 0; shard < shard_count; ++shard) {
     ShardRunStats& stats = sharded_result.shards[shard];
     stats.shard = shard;

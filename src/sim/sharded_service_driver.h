@@ -1,8 +1,7 @@
 // The anonymizer service driver: S cloaking requests over one shared
 // registry, executed by a worker pool with bit-identical results at any
 // thread count, partitioned into K >= 1 spatial shards that each own a
-// registry slice, a wound-wait claim coordinator, and a WAL/checkpoint
-// stream.
+// registry slice, an admission queue, and a WAL/checkpoint stream.
 //
 //  * Routing -- a cluster::ShardMap grid partitions the unit square; every
 //    request is routed to the home shard of its host deterministically
@@ -23,27 +22,22 @@
 //    in the live registry is a reuse hit and copies nothing (membership is
 //    immutable once registered; the turnstile checks again). Any other
 //    request copies the remaining-WPG mask and its version under the
-//    registry lock (Registry::ActiveMask), has phase 1 *propose* its
+//    registry lock (Registry::ActiveMask) and has phase 1 *propose* its
 //    clusters over that mask without registering them
-//    (DistributedTConnClusterer::Propose), and claims the proposal's
-//    users. One wound-wait ClaimCoordinator per shard arbitrates the users
-//    homed there, all sharing the GLOBAL admission-rank priority
-//    (ClaimCoordinator::OpenRequestAt), so conflicts resolve in favor of
-//    the older request wherever the contested user is homed. A candidate
-//    touching several shards is claimed home-shard-first, then ascending
-//    foreign shards; any failure releases everything and retries -- the
-//    cross-shard claim handoff. The globally oldest request succeeds
-//    everywhere, so the handoff is deadlock-free without a global lock.
-//    Release costs O(users the ticket holds) per coordinator, so a request
-//    pays for what it claimed, not for the population.
+//    (DistributedTConnClusterer::Propose). Speculation takes no lock
+//    beyond that copy and never waits on another request.
 //  * Commit -- a single global turnstile serializes commits in admission
-//    order for every K: request o commits only after every older admitted
-//    request has, and only if its mask version still matches the registry
-//    (and its claims were not wounded); otherwise phase 1 proposes again,
-//    serially inside the turnstile. The registry therefore evolves exactly
-//    as a sequential run would, and the final digest is INDEPENDENT of the
-//    thread count and the shard count: sharding relabels ownership and
-//    arbitration, never what gets clustered (see sharded_registry.h).
+//    order for every K and is the service's only concurrency control:
+//    request o commits only after every older admitted request has, and
+//    commits its speculation only if the mask version still matches the
+//    registry; otherwise phase 1 proposes again, serially inside the
+//    turnstile. Propose reads nothing but the mask, and only Register
+//    changes the mask (bumping the version), so an unchanged version
+//    proves the speculation equals the serial result. The registry
+//    therefore evolves exactly as a sequential run would, and the final
+//    digest is INDEPENDENT of the thread count and the shard count:
+//    sharding relabels ownership, never what gets clustered (see
+//    sharded_registry.h).
 //  * Region latch (per cluster) -- the earliest request that finds its
 //    committed cluster region-less becomes the cluster's publisher; later
 //    requests wait for the published region and reuse it. Should the
@@ -66,17 +60,16 @@
 //    halts as a real crash would (workers unwind, unfinished requests are
 //    reported as crash aborts, on-disk state is left exactly as the crash
 //    point dictates -- including a torn WAL record or checkpoint).
-//  * Watchdog -- a worker that stalls while holding claims (stall_ordinal,
-//    test-only) is detected by whichever request its stall blocks; the
-//    detector rolls the stalled ticket's claims back and re-executes the
-//    request inline from a fresh context, so the result -- and the digest
-//    -- is as if the stall never happened.
+//  * Watchdog -- a worker that stalls after speculating (stall_ordinal,
+//    test-only) blocks the turnstile for every younger request; whichever
+//    request waits on it re-executes it inline from a fresh context, so
+//    the result -- and the digest -- is as if the stall never happened.
 //
 // Per-request traces carry only deterministic facts and are written after
 // the request's outcome fully resolves, so for a given K the concatenated
 // traces are bit-identical at any thread count (with K > 1 they also name
-// each request's home and owner shard). Wall-clock latency and the claim
-// conflict/abort totals are scheduling-dependent and reported separately
+// each request's home and owner shard). Wall-clock latency and the
+// speculation abort total are scheduling-dependent and reported separately
 // as performance data. Thread-count invariance needs a fault-free network:
 // injected loss draws from a shared RNG in scheduling-dependent order.
 
@@ -92,7 +85,6 @@
 #include <vector>
 
 #include "audit/leak_contract.h"
-#include "cluster/concurrency.h"
 #include "cluster/registry.h"
 #include "cluster/shard_map.h"
 #include "core/cloaking_engine.h"
@@ -133,7 +125,7 @@ struct ServiceConfig {
   // Which privacy mechanism serves the requests. kClusterBound is the
   // native clustering+bounding pipeline with all the machinery below; any
   // other family runs the corresponding baseline through MechanismStage --
-  // requests are independent (no clustering, claims, commit turnstile, or
+  // requests are independent (no clustering, commit turnstile, or
   // registry writes), so the mode composes with admission, the fault plan,
   // and the observer tap, but not with durability or stall injection.
   audit::MechanismFamily mechanism = audit::MechanismFamily::kClusterBound;
@@ -168,9 +160,8 @@ struct ServiceConfig {
   net::FaultPlan fault_plan;
 
   // --- Watchdog (test-only) ---------------------------------------------
-  // The request with this ordinal parks after speculation, still holding
-  // its claims, and must be rescued by the watchdog path. kNoStallOrdinal
-  // disables injection.
+  // The request with this ordinal parks after speculation and must be
+  // rescued by the watchdog path. kNoStallOrdinal disables injection.
   uint64_t stall_ordinal = kNoStallOrdinal;
 
   // Observer for every network message (e.g. the exposure audit); not
@@ -243,17 +234,19 @@ struct ServiceResult {
   bool crashed = false;
   std::optional<net::ProcessCrashPoint> crash_point;
 
-  // Watchdog accounting: stalled requests rolled back and re-executed.
+  // Watchdog accounting: stalled requests re-executed.
   uint64_t watchdog_requeues = 0;
 
-  // Contention statistics (scheduling-dependent).
+  // Always 0: the service claims no users, so nothing conflicts, wounds or
+  // retries. Kept only because the end-to-end benchmark still reads them;
+  // the next change to the benchmark deletes them.
   uint64_t claim_conflicts = 0;
   uint64_t claim_wounds = 0;
-  // Speculative candidates discarded at the turnstile (stale mask or
-  // wounded claim) and recomputed serially.
-  uint64_t speculation_aborts = 0;
-  // Claim-failure retries during speculation.
   uint64_t speculation_retries = 0;
+  // Requests whose speculation the turnstile could not commit (a stale
+  // mask, or a speculative proposal that failed) and so recomputed
+  // serially (scheduling-dependent).
+  uint64_t speculation_aborts = 0;
 
   double wall_seconds = 0.0;
   // Served throughput: admitted requests that no crash aborted, per wall
@@ -308,8 +301,9 @@ struct ShardedServiceResult {
   uint64_t concatenated_digest = 0;
   // Committed clusters whose members span more than one shard.
   uint64_t cross_shard_clusters = 0;
-  // Successful claim acquisitions that touched more than one shard's
-  // coordinator (scheduling-dependent, like the conflict counters).
+  // Always 0: no claim is handed across shards any more. Kept only because
+  // the end-to-end benchmark still reads it; the next change to the
+  // benchmark deletes it.
   uint64_t cross_shard_handoffs = 0;
 };
 
@@ -349,7 +343,7 @@ class ShardedServiceDriver {
   [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t ordinal,
                                             bool allow_stall);
   // Baseline-mechanism path: one independent MechanismStage pipeline per
-  // request -- no speculation, claims, turnstile, or registry writes.
+  // request -- no speculation, turnstile, or registry writes.
   [[nodiscard]] util::Status ProcessMechanismRequest(RunState& run,
                                                      uint64_t ordinal);
   bool TryRescue(RunState& run, uint64_t max_rank);
@@ -359,16 +353,6 @@ class ShardedServiceDriver {
                       uint32_t occupancy);
   void FillCrashAbortRecord(RunState& run, uint64_t ordinal,
                             net::ProcessCrashPoint point);
-
-  // Cross-shard claim handoff: claims `members` for `ticket` home-shard-
-  // first then ascending, releasing everything on any failure.
-  bool TryClaimAcross(RunState& run, cluster::Ticket ticket,
-                      cluster::ShardId home,
-                      const std::vector<graph::VertexId>& members);
-  // Releases `ticket`'s claims in every shard's coordinator.
-  void ReleaseAll(RunState& run, cluster::Ticket ticket);
-  // Checks (and clears) the wounded flag in every coordinator.
-  bool AnyWounded(RunState& run, cluster::Ticket ticket);
 
   const data::Dataset& dataset_;
   const graph::Wpg& graph_;

@@ -12,7 +12,7 @@
 //    (sorted unique membership, size >= k when valid) -- checked by one
 //    loop that does not branch on CrossesShards;
 //  * zero exposure violations under the adversary observer with every
-//    coordinate tainted, cross-shard claim handoffs included;
+//    coordinate tainted, cross-shard commits included;
 //  * the K=4 run's per-shard WAL streams recover and assemble back into
 //    the exact final registry, which passes the anonymity audit.
 

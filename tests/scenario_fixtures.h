@@ -1,6 +1,6 @@
 // Shared test fixtures: the "small world" datasets and leak-assertion
-// helpers that the engine, chaos, concurrency, degradation, and mechanism
-// tests all build their scenarios from. Hoisted here so every suite
+// helpers that the engine, chaos, degradation, and mechanism tests all
+// build their scenarios from. Hoisted here so every suite
 // exercises the same worlds and the same no-coordinate-leak predicate.
 //
 // Test-only header; depends on gtest.

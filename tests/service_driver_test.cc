@@ -307,9 +307,15 @@ TEST(ServiceDriverTest, OverloadShedsAreStructuredAndNonExposing) {
   }
 }
 
-// A worker that stalls while holding claims is rolled back and re-executed
-// by the watchdog; the rescued run's digest and traces are bit-identical to
-// a run without the stall, at every thread count.
+// A worker that stalls after speculating is re-executed by the watchdog;
+// the rescued run's digest and traces are bit-identical to a run without
+// the stall, at every thread count.
+//
+// At one thread the run also drives the commit rule deterministically:
+// ordinal 4 speculates while ordinal 3 is parked, then rescues it from the
+// turnstile wait, so ordinal 3's commit makes ordinal 4's mask stale. The
+// turnstile must discard that speculation (one abort) and recompute; a
+// clean one-thread run speculates on a current mask every time.
 TEST(ServiceDriverTest, WatchdogRescuesStalledRequestWithoutDigestDrift) {
   for (uint32_t threads : {1u, 4u, 8u}) {
     ShardedServiceConfig config = ClosedBatchConfig(threads);
@@ -320,6 +326,10 @@ TEST(ServiceDriverTest, WatchdogRescuesStalledRequestWithoutDigestDrift) {
     config.service.stall_ordinal = 3;
     const ServiceResult rescued = MustRun(config);
     EXPECT_EQ(rescued.watchdog_requeues, 1u) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(clean.speculation_aborts, 0u);
+      EXPECT_EQ(rescued.speculation_aborts, 1u);
+    }
     EXPECT_EQ(rescued.registry_digest, clean.registry_digest)
         << "threads=" << threads;
     EXPECT_EQ(ConcatTraces(rescued.records), ConcatTraces(clean.records))

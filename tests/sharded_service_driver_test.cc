@@ -1,7 +1,8 @@
 // Tests for the spatially sharded service driver: the determinism matrix
 // (digests, traces, and outcomes bit-identical across thread counts AND
-// shard counts), cross-shard ownership accounting, per-shard admission
-// queues, and the per-shard WAL stream split.
+// shard counts), output bytes pinned against constants, cross-shard
+// ownership accounting, per-shard admission queues, and the per-shard WAL
+// stream split.
 
 #include <filesystem>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/policy_factory.h"
 #include "sim/scenario.h"
 #include "sim/sharded_service_driver.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace nela::sim {
@@ -118,7 +120,6 @@ TEST(ShardedServiceDriverTest, DigestMatrixIsThreadAndShardInvariant) {
       if (shards == 1) {
         // The single shard owns every cluster and every user.
         EXPECT_EQ(result.cross_shard_clusters, 0u);
-        EXPECT_EQ(result.cross_shard_handoffs, 0u);
         EXPECT_EQ(result.shards[0].clusters_owned, service.clusters_formed);
         EXPECT_EQ(result.shards[0].users, SharedScenario().dataset.size());
       }
@@ -135,6 +136,31 @@ TEST(ShardedServiceDriverTest, DigestMatrixIsThreadAndShardInvariant) {
       }
       EXPECT_TRUE(service.reciprocity_ok);
     }
+  }
+}
+
+// Pins the driver's output bytes: the FNV-1a hash of the concatenated
+// traces and the registry digest of a one-thread closed batch at K=1 and
+// K=4. The matrix above compares runs of one build with each other; these
+// constants, computed by this test before the wound-wait claim layer was
+// removed, also catch a change that alters every thread count alike. They
+// assume IEEE-754 doubles and the libm the suite is built against.
+TEST(ShardedServiceDriverTest, TraceBytesAndDigestArePinned) {
+  struct Pin {
+    uint32_t shards;
+    uint64_t trace_hash;
+    uint64_t registry_digest;
+  };
+  for (const Pin& pin : {Pin{1, 0xbf24036549f99c83ull, 0x7fae17db4d5db749ull},
+                         Pin{4, 0x5c863ab89bf30a78ull, 0x7fae17db4d5db749ull}}) {
+    const ServiceResult result =
+        MustRun(ClosedBatchConfig(1, pin.shards)).service;
+    const std::string traces = ConcatTraces(result.records);
+    EXPECT_EQ(util::FnvHashBytes(traces.data(), traces.size()),
+              pin.trace_hash)
+        << "shards=" << pin.shards;
+    EXPECT_EQ(result.registry_digest, pin.registry_digest)
+        << "shards=" << pin.shards;
   }
 }
 
@@ -163,7 +189,6 @@ TEST(ShardedServiceDriverTest, CrossShardOwnershipAccountingTiesOut) {
   // A uniform population on a 2x2 grid forms boundary clusters; if none
   // crossed, the partition (or the ownership rule) is broken.
   EXPECT_GT(result.cross_shard_clusters, 0u);
-  EXPECT_GT(result.cross_shard_handoffs, 0u);
   EXPECT_TRUE(result.service.reciprocity_ok);
 }
 
