@@ -1,5 +1,5 @@
 // Shared plumbing for the figure-reproduction benches: flag definitions,
-// scenario setup, stdout table formatting, and CSV emission.
+// scenario setup, stdout table formatting, and CSV and JSON emission.
 
 #ifndef NELA_BENCH_BENCH_COMMON_H_
 #define NELA_BENCH_BENCH_COMMON_H_
@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -66,6 +67,36 @@ inline util::Status EmitCsv(const util::CsvWriter& csv,
     std::printf("  -> %s\n", path.c_str());
   } else {
     std::fprintf(stderr, "  (csv not written: %s)\n",
+                 status.ToString().c_str());
+  }
+  return status;
+}
+
+// Writes a BENCH_*.json summary to the path in the environment variable
+// `env_var`, or to `default_path` when it is unset. `write_body` emits the
+// JSON; the open, the writes and the close are each checked, so a bench
+// exits 1 rather than leave its artifact missing. Reports the destination
+// (or the failure) on the console, like EmitCsv.
+inline util::Status WriteBenchJson(
+    const char* env_var, const std::string& default_path,
+    const std::function<void(std::FILE*)>& write_body) {
+  const char* env_path = std::getenv(env_var);
+  const std::string path = env_path != nullptr ? env_path : default_path;
+  util::Status status;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    status = util::UnavailableError("cannot open " + path);
+  } else {
+    write_body(f);
+    const bool write_failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || write_failed) {
+      status = util::UnavailableError("cannot write " + path);
+    }
+  }
+  if (status.ok()) {
+    std::printf("  -> %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "  (json not written: %s)\n",
                  status.ToString().c_str());
   }
   return status;

@@ -45,16 +45,8 @@ struct MechanismSample {
 // JSON has no infinity; the "never learned anything" sentinel is -1.
 double JsonWidth(double width) { return std::isinf(width) ? -1.0 : width; }
 
-void WriteMechanismsJson(const std::string& output_dir,
-                         const std::vector<MechanismSample>& samples) {
-  const char* env_path = std::getenv("NELA_BENCH_MECHANISMS_JSON");
-  const std::string path =
-      env_path != nullptr ? env_path : output_dir + "/BENCH_mechanisms.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_mechanisms: cannot write %s\n", path.c_str());
-    return;
-  }
+void WriteMechanismsJsonBody(std::FILE* f,
+                             const std::vector<MechanismSample>& samples) {
   std::fprintf(f, "{\n  \"benchmark\": \"bench_mechanisms\",\n");
   std::fprintf(f, "  \"sweep\": [\n");
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -79,8 +71,14 @@ void WriteMechanismsJson(const std::string& output_dir,
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("  -> %s\n", path.c_str());
+}
+
+nela::util::Status WriteMechanismsJson(
+    const std::string& output_dir,
+    const std::vector<MechanismSample>& samples) {
+  return nela::bench::WriteBenchJson(
+      "NELA_BENCH_MECHANISMS_JSON", output_dir + "/BENCH_mechanisms.json",
+      [&samples](std::FILE* f) { WriteMechanismsJsonBody(f, samples); });
 }
 
 int Run(int argc, char** argv) {
@@ -189,11 +187,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (!nela::bench::EmitCsv(csv, output_dir, "bench_mechanisms").ok()) {
-    return 1;
-  }
-  WriteMechanismsJson(output_dir, samples);
-  return 0;
+  const bool csv_ok =
+      nela::bench::EmitCsv(csv, output_dir, "bench_mechanisms").ok();
+  const bool json_ok = WriteMechanismsJson(output_dir, samples).ok();
+  return csv_ok && json_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_common.h"
 #include "bounding/increment_policy.h"
 #include "bounding/protocol.h"
 #include "bounding/secret.h"
@@ -232,15 +233,7 @@ const char* WallMode(const WpgSample& s, uint32_t cores) {
 // score exactly 1.0 vs 1 thread). `measured_speedup_vs_1thread` keeps
 // the raw wall ratio so core-starved runs stay visible rather than
 // laundered. See DESIGN.md, "Performance architecture".
-void WriteWpgBenchJson() {
-  if (WpgSamples().empty()) return;
-  const char* env_path = std::getenv("NELA_BENCH_WPG_JSON");
-  const std::string path = env_path != nullptr ? env_path : "BENCH_wpg.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_micro: cannot write %s\n", path.c_str());
-    return;
-  }
+void WriteWpgJsonBody(std::FILE* f) {
   const uint32_t cores = nela::util::ThreadPool::DefaultThreadCount();
   std::stable_sort(WpgSamples().begin(), WpgSamples().end(),
                    [](const WpgSample& a, const WpgSample& b) {
@@ -312,8 +305,12 @@ void WriteWpgBenchJson() {
     std::fprintf(f, "}%s\n", i + 1 < WpgSamples().size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "bench_micro: wrote %s\n", path.c_str());
+}
+
+nela::util::Status WriteWpgBenchJson() {
+  if (WpgSamples().empty()) return nela::util::Status::Ok();
+  return nela::bench::WriteBenchJson("NELA_BENCH_WPG_JSON", "BENCH_wpg.json",
+                                     WriteWpgJsonBody);
 }
 
 // ---------------------------------------------------------------- WPG build
@@ -493,6 +490,5 @@ int main(int argc, char** argv) {
   CheckRadiusQueryIntoIsAllocationFree();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  WriteWpgBenchJson();
-  return 0;
+  return WriteWpgBenchJson().ok() ? 0 : 1;
 }

@@ -55,17 +55,9 @@ struct ShedSample {
   double p99_queue_wait_ms = 0.0;
 };
 
-void WriteServiceBenchJson(const std::string& output_dir,
-                           const std::vector<RecoverySample>& recovery,
-                           const std::vector<ShedSample>& shedding) {
-  const char* env_path = std::getenv("NELA_BENCH_SERVICE_JSON");
-  const std::string path =
-      env_path != nullptr ? env_path : output_dir + "/BENCH_service.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_recovery: cannot write %s\n", path.c_str());
-    return;
-  }
+void WriteServiceJsonBody(std::FILE* f,
+                          const std::vector<RecoverySample>& recovery,
+                          const std::vector<ShedSample>& shedding) {
   std::fprintf(f, "{\n  \"benchmark\": \"bench_recovery\",\n");
   std::fprintf(f, "  \"recovery\": [\n");
   for (size_t i = 0; i < recovery.size(); ++i) {
@@ -96,8 +88,14 @@ void WriteServiceBenchJson(const std::string& output_dir,
         i + 1 < shedding.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("  -> %s\n", path.c_str());
+}
+
+nela::util::Status WriteServiceBenchJson(
+    const std::string& output_dir, const std::vector<RecoverySample>& recovery,
+    const std::vector<ShedSample>& shedding) {
+  return nela::bench::WriteBenchJson(
+      "NELA_BENCH_SERVICE_JSON", output_dir + "/BENCH_service.json",
+      [&](std::FILE* f) { WriteServiceJsonBody(f, recovery, shedding); });
 }
 
 int Run(int argc, char** argv) {
@@ -298,9 +296,11 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("\n");
-  WriteServiceBenchJson(output_dir, recovery_samples, shed_samples);
-  return nela::bench::EmitCsv(csv, output_dir, "bench_recovery").ok() ? 0
-                                                                      : 1;
+  const bool json_ok =
+      WriteServiceBenchJson(output_dir, recovery_samples, shed_samples).ok();
+  const bool csv_ok =
+      nela::bench::EmitCsv(csv, output_dir, "bench_recovery").ok();
+  return json_ok && csv_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 // RequestContext plumbing, so every mechanism draws randomness from the
 // request's seeded sub-stream, is traced per stage, and sends only tagged
 // net::Messages the audit layer can scan. The comparative driver
-// (mechanisms/comparative_driver.h) and the service driver run any
-// Mechanism through MechanismStage + RunPipeline, which keeps degradation
-// and tracing semantics identical to the native pipeline's.
+// (mechanisms/comparative_driver.h) runs any Mechanism through
+// MechanismStage + RunPipeline, which keeps degradation and tracing
+// semantics identical to the native pipeline's.
 //
 // Implementations live in src/mechanisms (core must not depend on them);
 // the native clustering+bounding scheme is adapted via

@@ -1,10 +1,9 @@
 // The five concrete stages of the cloaking pipeline (see pipeline.h).
 //
-// Stages are thin, stateless adapters over the subsystems they drive; they
-// are cheap to construct per request, and both CloakingEngine and
-// sim::ShardedServiceDriver assemble their pipelines from these same
-// classes so a request is invoked, traced, and degraded identically in
-// either driver.
+// Stages are thin adapters over the subsystems they drive, cheap to
+// construct per request. CloakingEngine and sim::ShardedServiceDriver run
+// the same five, so a request is invoked, traced, and degraded identically
+// in either, and every trace line is worded here alone.
 
 #ifndef NELA_CORE_STAGES_H_
 #define NELA_CORE_STAGES_H_
@@ -62,11 +61,11 @@ class ClusterStage : public Stage {
 
 // Records the committed cluster: its size and, once the service runs
 // sharded, the host's home shard, the cluster's owner shard, and whether
-// the members cross shards. The commit itself happens before this stage --
-// in ClusterStage for the engine, in the service driver's commit turnstile
-// for concurrent requests -- so the stage decides nothing and never waits.
-// The name predates the removal of per-user claims; the end-to-end
-// benchmark keys its per-stage timing on it.
+// the members cross shards. The commit happens in ClusterStage, through its
+// clusterer (the service driver's commits in its commit sequencer), so
+// this stage decides nothing and never waits. The name predates the
+// removal of per-user claims; the end-to-end benchmark keys its per-stage
+// timing on it.
 class ClaimCommitStage : public Stage {
  public:
   const char* name() const override { return "claim_commit"; }

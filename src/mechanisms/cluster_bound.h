@@ -1,7 +1,7 @@
 // Adapter presenting the paper's native clustering + secure-bounding
 // workflow (core::CloakingEngine) through the Mechanism seam, so the
-// comparative driver and the service driver can run it side by side with
-// the baseline mechanisms under identical audit taps.
+// comparative driver can run it side by side with the baseline mechanisms
+// under identical audit taps.
 //
 // Leak contract (audit::MechanismFamily::kClusterBound): nothing beyond
 // the adversary observer's shared invariants -- no raw coordinate bit

@@ -1,6 +1,6 @@
 // Mechanism construction by family: the single switch point the
-// comparative driver, the service driver, and the benches share, so a new
-// baseline lands in every harness by extending one factory.
+// comparative driver and the benches share, so a new baseline lands in
+// every harness by extending one factory.
 
 #ifndef NELA_MECHANISMS_FACTORY_H_
 #define NELA_MECHANISMS_FACTORY_H_

@@ -6,72 +6,47 @@
 //  * Routing -- a cluster::ShardMap grid partitions the unit square; every
 //    request is routed to the home shard of its host deterministically
 //    (a pure function of the dataset and K, never of execution order).
-//  * Admission -- requests arrive on ONE global simulated Poisson clock and
-//    queue in per-shard bounded c-server queues (worker threads are
-//    distributed across shards as servers, floor one per shard). Requests
-//    that find their queue full are shed with kUnavailable; requests whose
-//    simulated queue wait exceeds the deadline are shed with
-//    kDeadlineExceeded. Every shed produces a structured DegradationReport
-//    (finalized exactly once) and never exposes a coordinate. Admitted
-//    requests carry the wait as simulated backoff so the in-pipeline
-//    deadline check still fires. Sheds are computed sequentially up front
-//    from the workload seed, so the shed set is a function of (config,
-//    thread count, K). With offered_rate_per_ms = 0 the queue model is off:
-//    the closed-batch mode, everything admitted at t=0.
-//  * Speculation (parallel) -- a request whose host is already clustered
-//    in the live registry is a reuse hit and copies nothing (membership is
-//    immutable once registered; the turnstile checks again). Any other
-//    request copies the remaining-WPG mask and its version under the
-//    registry lock (Registry::ActiveMask) and has phase 1 *propose* its
-//    clusters over that mask without registering them
-//    (DistributedTConnClusterer::Propose). Speculation takes no lock
-//    beyond that copy and never waits on another request.
-//  * Commit -- a single global turnstile serializes commits in admission
-//    order for every K and is the service's only concurrency control:
-//    request o commits only after every older admitted request has, and
-//    commits its speculation only if the mask version still matches the
-//    registry; otherwise phase 1 proposes again, serially inside the
-//    turnstile. Propose reads nothing but the mask, and only Register
-//    changes the mask (bumping the version), so an unchanged version
-//    proves the speculation equals the serial result. The registry
-//    therefore evolves exactly as a sequential run would, and the final
-//    digest is INDEPENDENT of the thread count and the shard count:
-//    sharding relabels ownership, never what gets clustered (see
-//    sharded_registry.h).
-//  * Region latch (per cluster) -- the earliest request that finds its
-//    committed cluster region-less becomes the cluster's publisher; later
-//    requests wait for the published region and reuse it. Should the
-//    publisher degrade, the next-oldest waiter promotes itself, again
-//    matching the sequential order. Bounding + publish run in parallel,
-//    with backoff jitter drawn from the request's private RNG sub-stream.
-//  * Durability -- with a durability directory configured, each turnstile
-//    commit is logged as one atomic record to the coordinating (home)
-//    shard's WAL stream under <base>/shard-<s>/, and checkpoints are cut
-//    per shard every checkpoint_interval commits
-//    (durability::ShardedDurableRegistry). K=1 logs to <base>/shard-0 like
-//    any other K. Recovery is per shard and parallel
+//  * Admission (admission.h) -- per-shard simulated queues shed overload
+//    before anything executes, each shed with a structured
+//    DegradationReport that exposes no coordinate. Admitted requests carry
+//    their queue wait as simulated backoff against the deadline.
+//  * Speculation (parallel) -- a host already clustered in the live
+//    registry is a reuse hit and copies nothing. Any other request copies
+//    the remaining-WPG mask and its version (Registry::ActiveMask) and has
+//    phase 1 propose its clusters over it without registering them
+//    (DistributedTConnClusterer::Propose), taking no lock beyond that copy.
+//  * One request body -- every request runs the engine's five stages
+//    (core/stages.h), assembled as core::CloakingEngine assembles them, so
+//    every trace line is worded once. A host unclustered at its turn runs
+//    {resolve_reuse, cluster} inside the turn: a miss, then the commit,
+//    which is ClusterStage's clusterer. A hit runs them after the region
+//    latch. {claim_commit, secure_bound, publish} then run in parallel,
+//    with backoff jitter from the request's private RNG sub-stream.
+//  * Commit sequencer and region latch (commit_sequencer.h) -- requests
+//    commit in admission order for every K, so the final digest is
+//    INDEPENDENT of the thread count and the shard count: sharding
+//    relabels ownership, never what gets clustered (sharded_registry.h).
+//  * Durability -- with a durability directory, each commit is one atomic
+//    record in the coordinating (home) shard's WAL stream under
+//    <base>/shard-<s>/ (K=1 logs to shard-0), and checkpoints are cut every
+//    checkpoint_interval turnstile passes. Recovery is per shard
 //    (durability::RecoverAllShards + AssembleRegistry), and Resume()
-//    re-submits the workload: work that committed before a crash resolves
-//    as reuse, the rest re-executes with the same per-request RNG
-//    sub-streams, so the final digest is bit-identical to an uninterrupted
-//    run.
-//  * Chaos -- net::FaultPlan::process_crashes schedules process-level
-//    crashes at the commit/WAL/checkpoint points; when one fires the run
-//    halts as a real crash would (workers unwind, unfinished requests are
-//    reported as crash aborts, on-disk state is left exactly as the crash
-//    point dictates -- including a torn WAL record or checkpoint).
+//    continues a crashed run to an uninterrupted run's digest.
+//  * Chaos -- net::FaultPlan::process_crashes fires process crashes at the
+//    commit/WAL/checkpoint points: the run halts as a real crash would,
+//    unfinished requests are reported as crash aborts, and on-disk state is
+//    left as the crash point dictates, torn record or checkpoint included.
 //  * Watchdog -- a worker that stalls after speculating (stall_ordinal,
-//    test-only) blocks the turnstile for every younger request; whichever
-//    request waits on it re-executes it inline from a fresh context, so
-//    the result -- and the digest -- is as if the stall never happened.
+//    test-only) is re-executed inline, from a fresh context, by whichever
+//    request waits on it, as if the stall never happened.
 //
-// Per-request traces carry only deterministic facts and are written after
-// the request's outcome fully resolves, so for a given K the concatenated
-// traces are bit-identical at any thread count (with K > 1 they also name
-// each request's home and owner shard). Wall-clock latency and the
-// speculation abort total are scheduling-dependent and reported separately
-// as performance data. Thread-count invariance needs a fault-free network:
-// injected loss draws from a shared RNG in scheduling-dependent order.
+// Each trace record states a fact decided in rank order (the turn) or by
+// the region latch, so for a given K the concatenated traces are
+// bit-identical at any thread count and equal the sequential engine's
+// (with K > 1 they also name the home and owner shard). Wall-clock latency
+// and the speculation abort total are performance data, reported
+// separately. Thread-count invariance needs a fault-free network: injected
+// loss draws from a shared RNG in scheduling-dependent order.
 
 #ifndef NELA_SIM_SHARDED_SERVICE_DRIVER_H_
 #define NELA_SIM_SHARDED_SERVICE_DRIVER_H_
@@ -84,7 +59,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/leak_contract.h"
 #include "cluster/registry.h"
 #include "cluster/shard_map.h"
 #include "core/cloaking_engine.h"
@@ -92,7 +66,6 @@
 #include "data/dataset.h"
 #include "durability/sharded_recovery.h"
 #include "graph/wpg.h"
-#include "mechanisms/factory.h"
 #include "net/accounting.h"
 #include "net/fault_plan.h"
 #include "net/network.h"
@@ -121,16 +94,6 @@ struct ServiceConfig {
   // (scoped) and globally.
   bool with_network = true;
 
-  // --- Mechanism ---------------------------------------------------------
-  // Which privacy mechanism serves the requests. kClusterBound is the
-  // native clustering+bounding pipeline with all the machinery below; any
-  // other family runs the corresponding baseline through MechanismStage --
-  // requests are independent (no clustering, commit turnstile, or
-  // registry writes), so the mode composes with admission, the fault plan,
-  // and the observer tap, but not with durability or stall injection.
-  audit::MechanismFamily mechanism = audit::MechanismFamily::kClusterBound;
-  mechanisms::MechanismParams mechanism_params;
-
   // --- Admission / overload ---------------------------------------------
   // Mean arrivals per simulated millisecond (Poisson process). 0 disables
   // the queue model entirely: all requests arrive at t=0 with zero wait and
@@ -150,8 +113,9 @@ struct ServiceConfig {
   double deadline_ms = std::numeric_limits<double>::infinity();
 
   // --- Durability --------------------------------------------------------
-  // Cut a checkpoint every this many turnstile commits; 0 disables. Needs
-  // ShardedServiceConfig::durability_dir.
+  // Cut a checkpoint every this many turnstile passes -- every admitted
+  // request's, reuse hits included, not only those that commit a cluster;
+  // 0 disables. Needs ShardedServiceConfig::durability_dir.
   uint32_t checkpoint_interval = 0;
 
   // --- Chaos -------------------------------------------------------------
@@ -208,11 +172,6 @@ struct ServiceResult {
   // cluster::Registry::Digest() of the final registry: membership,
   // validity, and the bit patterns of every published region.
   uint64_t registry_digest = 0;
-  // FNV fold of every request's outcome facts in ordinal order (host,
-  // admission, satisfaction, region and probe coordinate bits): the
-  // determinism witness that works for every mechanism, including
-  // baselines that never touch the registry.
-  uint64_t outcome_digest = 0;
   // Every user ended up in at most one cluster (must always hold).
   bool reciprocity_ok = false;
   uint32_t clusters_formed = 0;
@@ -340,19 +299,9 @@ class ShardedServiceDriver {
       std::unordered_map<cluster::ClusterId, uint32_t> stream_of,
       bool truncate_wal, uint64_t checkpoint_seq_start);
 
-  [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t ordinal,
-                                            bool allow_stall);
-  // Baseline-mechanism path: one independent MechanismStage pipeline per
-  // request -- no speculation, turnstile, or registry writes.
-  [[nodiscard]] util::Status ProcessMechanismRequest(RunState& run,
-                                                     uint64_t ordinal);
-  bool TryRescue(RunState& run, uint64_t max_rank);
-  void AdmitWorkload(RunState& run);
-  void FillShedRecord(RunState& run, uint64_t ordinal, ShedCause cause,
-                      double arrival_ms, double queue_wait_ms,
-                      uint32_t occupancy);
-  void FillCrashAbortRecord(RunState& run, uint64_t ordinal,
-                            net::ProcessCrashPoint point);
+  // The admitted request of commit rank `rank`, start to finish. A parked
+  // attempt returns Ok undelivered; the rescue re-executes it.
+  [[nodiscard]] util::Status ProcessRequest(RunState& run, uint64_t rank);
 
   const data::Dataset& dataset_;
   const graph::Wpg& graph_;

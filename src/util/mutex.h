@@ -11,8 +11,8 @@
 // ("Compile-time adversary") for the tree-wide lock hierarchy.
 //
 // MutexLock is deliberately relockable (Lock/Unlock on the guard, like
-// std::unique_lock) because the sharded service driver's turnstile drops
-// the run lock around cross-shard rescue work; CondVar::Wait takes the
+// std::unique_lock) because the commit sequencer's waits drop its lock
+// around watchdog rescue work; CondVar::Wait takes the
 // guard so the analysis knows the lock is held across the predicate
 // re-check. Condition waits are written as explicit
 // `while (!pred) cv.Wait(lock);` loops — the std::condition_variable
@@ -65,8 +65,8 @@ class SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  // Suspend / resume the critical section (turnstile waits that call out
-  // to other shards' coordinators drop the run lock around the call).
+  // Suspend / resume the critical section (the commit sequencer's waits
+  // drop its lock around a rescue).
   void Unlock() RELEASE() {
     mu_.Unlock();
     held_ = false;

@@ -18,6 +18,7 @@
 #include "cluster/registry.h"
 #include "core/cloaking_engine.h"
 #include "core/policy_factory.h"
+#include "core/request_context.h"
 #include "geo/rect.h"
 #include "net/network.h"
 #include "sim/scenario.h"
@@ -137,7 +138,9 @@ TEST(BatchDriverTest, RunIsRepeatable) {
 }
 
 // The service driver must agree with the plain sequential engine request
-// by request: same clusters, same regions, same reuse decisions.
+// by request: same clusters, same regions, same reuse decisions, and the
+// same trace bytes -- both run the same five stages, so a wording change in
+// one stage cannot split the two.
 TEST(BatchDriverTest, MatchesSequentialEngineOutcomes) {
   const Scenario& scenario = SharedScenario();
   const core::BoundingParams params;
@@ -159,17 +162,17 @@ TEST(BatchDriverTest, MatchesSequentialEngineOutcomes) {
           scenario.graph, config.service.k, &registry),
       &registry, core::MakeSecurePolicyFactory(params),
       core::BoundingMode::kSecureProtocol, &network);
-  // Hypothesis origins draw from each request's (master_seed, ordinal)
-  // sub-stream; the reference engine must use the driver's master seed for
-  // region bit patterns to agree.
-  engine.set_master_seed(config.service.master_seed);
 
   ASSERT_EQ(hosts.size(), batch.records.size());
   for (size_t i = 0; i < hosts.size(); ++i) {
     const ServiceRequestRecord& record = batch.records[i];
     ASSERT_EQ(record.host, hosts[i]);
-    auto outcome = engine.RequestCloaking(hosts[i]);
+    // The driver's (master_seed, ordinal) sub-stream, which hypothesis
+    // origins draw from, so region bit patterns agree.
+    core::RequestContext ctx(config.service.master_seed, i, hosts[i]);
+    auto outcome = engine.RequestCloaking(hosts[i], ctx);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(record.trace, ctx.trace().ToString()) << "request " << i;
     EXPECT_EQ(outcome.value().cluster_id, record.outcome.cluster_id)
         << "request " << i;
     EXPECT_EQ(outcome.value().region, record.outcome.region)
