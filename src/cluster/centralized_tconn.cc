@@ -8,47 +8,6 @@
 
 namespace nela::cluster {
 
-Partition CentralizedKClustering(const graph::Wpg& graph, uint32_t k) {
-  NELA_CHECK_GE(k, 1u);
-  const uint32_t n = graph.vertex_count();
-
-  std::vector<uint32_t> order(graph.edge_count());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  const std::vector<graph::Edge>& edges = graph.edges();
-  std::sort(order.begin(), order.end(), [&edges](uint32_t a, uint32_t b) {
-    return KeyOf(edges[a]) < KeyOf(edges[b]);
-  });
-
-  graph::UnionFind dsu(n);
-  // Connectivity (weight of the latest merge) per current DSU root.
-  std::vector<double> connectivity(n, 0.0);
-  for (uint32_t index : order) {
-    const graph::Edge& e = edges[index];
-    const uint32_t ru = dsu.Find(e.u);
-    const uint32_t rv = dsu.Find(e.v);
-    if (ru == rv) continue;
-    // Freeze rule: once both sides are valid clusters on their own,
-    // merging them could only grow the MEW -- keep them apart.
-    if (dsu.SizeOf(ru) >= k && dsu.SizeOf(rv) >= k) continue;
-    dsu.Union(ru, rv);
-    connectivity[dsu.Find(e.u)] = e.weight;
-  }
-
-  std::unordered_map<uint32_t, uint32_t> cluster_of_root;
-  Partition out;
-  for (uint32_t v = 0; v < n; ++v) {
-    const uint32_t root = dsu.Find(v);
-    auto [it, inserted] = cluster_of_root.try_emplace(
-        root, static_cast<uint32_t>(out.clusters.size()));
-    if (inserted) {
-      out.clusters.emplace_back();
-      out.connectivity.push_back(connectivity[root]);
-    }
-    out.clusters[it->second].push_back(v);
-  }
-  return RefinePartition(graph, std::move(out), k);
-}
-
 namespace {
 
 // Recursively splits one cluster along its internal MST; emits results.
@@ -166,10 +125,11 @@ void RefineCluster(std::vector<graph::VertexId> members,
   out->connectivity.push_back(connectivity);
 }
 
-}  // namespace
-
-Partition RefinePartition(const graph::Wpg& graph, Partition partition,
-                          uint32_t k) {
+// The refinement post-pass over `edges`, which must hold every edge inside
+// each cluster of `partition` (any order or orientation; other edges are
+// ignored).
+Partition RefineOverEdges(const std::vector<graph::Edge>& edges,
+                          Partition partition, uint32_t k) {
   // Bucket each intra-cluster edge of an oversized cluster in one pass over
   // the edge list (re-scanning all edges per cluster is quadratic in
   // practice on large graphs).
@@ -181,7 +141,7 @@ Partition RefinePartition(const graph::Wpg& graph, Partition partition,
     }
   }
   std::unordered_map<uint32_t, std::vector<graph::Edge>> edges_of;
-  for (const graph::Edge& e : graph.edges()) {
+  for (const graph::Edge& e : edges) {
     auto u_it = cluster_of.find(e.u);
     if (u_it == cluster_of.end()) continue;
     auto v_it = cluster_of.find(e.v);
@@ -200,6 +160,77 @@ Partition RefinePartition(const graph::Wpg& graph, Partition partition,
                   std::move(edges_of[static_cast<uint32_t>(i)]), k, &out);
   }
   return out;
+}
+
+// Algorithm 1 over the vertices [0, vertex_count) and `edges` (any order or
+// orientation): the single implementation behind both public overloads.
+Partition KClusteringOverEdges(uint32_t vertex_count,
+                               const std::vector<graph::Edge>& edges,
+                               uint32_t k) {
+  NELA_CHECK_GE(k, 1u);
+  std::vector<uint32_t> order(edges.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&edges](uint32_t a, uint32_t b) {
+    return KeyOf(edges[a]) < KeyOf(edges[b]);
+  });
+
+  graph::UnionFind dsu(vertex_count);
+  // Connectivity (weight of the latest merge) per current DSU root.
+  std::vector<double> connectivity(vertex_count, 0.0);
+  for (uint32_t index : order) {
+    const graph::Edge& e = edges[index];
+    const uint32_t ru = dsu.Find(e.u);
+    const uint32_t rv = dsu.Find(e.v);
+    if (ru == rv) continue;
+    // Freeze rule: once both sides are valid clusters on their own,
+    // merging them could only grow the MEW -- keep them apart.
+    if (dsu.SizeOf(ru) >= k && dsu.SizeOf(rv) >= k) continue;
+    dsu.Union(ru, rv);
+    connectivity[dsu.Find(e.u)] = e.weight;
+  }
+
+  std::unordered_map<uint32_t, uint32_t> cluster_of_root;
+  Partition out;
+  for (uint32_t v = 0; v < vertex_count; ++v) {
+    const uint32_t root = dsu.Find(v);
+    auto [it, inserted] = cluster_of_root.try_emplace(
+        root, static_cast<uint32_t>(out.clusters.size()));
+    if (inserted) {
+      out.clusters.emplace_back();
+      out.connectivity.push_back(connectivity[root]);
+    }
+    out.clusters[it->second].push_back(v);
+  }
+  return RefineOverEdges(edges, std::move(out), k);
+}
+
+}  // namespace
+
+Partition CentralizedKClustering(const graph::Wpg& graph, uint32_t k) {
+  return KClusteringOverEdges(graph.vertex_count(), graph.edges(), k);
+}
+
+Partition CentralizedKClustering(const graph::Wpg& graph,
+                                 std::vector<graph::VertexId> subset,
+                                 uint32_t k) {
+  // Local ids are positions in the sorted subset. They order like the
+  // global ids, so EdgeKey tie-breaking -- and with it the partition -- is
+  // what the whole-graph algorithm gives on the induced subgraph, and the
+  // translated clusters stay sorted.
+  std::sort(subset.begin(), subset.end());
+  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+  Partition partition =
+      KClusteringOverEdges(static_cast<uint32_t>(subset.size()),
+                           graph::InducedLocalEdges(graph, subset), k);
+  for (auto& cluster : partition.clusters) {
+    for (graph::VertexId& v : cluster) v = subset[v];
+  }
+  return partition;
+}
+
+Partition RefinePartition(const graph::Wpg& graph, Partition partition,
+                          uint32_t k) {
+  return RefineOverEdges(graph.edges(), std::move(partition), k);
 }
 
 Partition ReferenceCentralizedKClustering(
@@ -248,7 +279,7 @@ Partition ReferenceCentralizedKClustering(
     out.clusters.push_back(std::move(comps[c]));
     out.connectivity.push_back(conn[c]);
   }
-  return RefinePartition(graph, std::move(out), k);
+  return RefineOverEdges(edges, std::move(out), k);
 }
 
 namespace {

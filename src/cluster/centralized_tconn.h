@@ -14,7 +14,11 @@
 //    have >= k members. Bottom-up growth of t-connectivity classes that
 //    stops exactly when a class is valid and so is every neighbor that
 //    could still claim it -- the constructive reading of "partition until
-//    a further partition would be invalid".
+//    a further partition would be invalid". One implementation, over a
+//    vertex count and an edge list, serves both entry points: the whole
+//    graph hands it graph.edges() by reference, and a subset (step 3 of
+//    Algorithm 2) hands it the subset's induced edges in local ids, read
+//    from the members' adjacency without building a subgraph.
 //  * ReferenceCentralizedKClustering -- same semantics, independently
 //    coded as a naive repeated minimum-eligible-edge scan; the oracle for
 //    the equivalence property tests.
@@ -52,6 +56,14 @@ struct Partition {
 // refinement post-pass (below).
 Partition CentralizedKClustering(const graph::Wpg& graph, uint32_t k);
 
+// The same partition of the subgraph induced by `subset` (any order;
+// duplicates ignored), in global ids: the host's step 3 of Algorithm 2.
+// Costs O(sum of member degrees x log |subset| + E_C log E_C) for the E_C
+// induced edges, independent of the size of the whole graph.
+Partition CentralizedKClustering(const graph::Wpg& graph,
+                                 std::vector<graph::VertexId> subset,
+                                 uint32_t k);
+
 // Post-pass shared by the implementations: any cluster with >= 2k members
 // is split further by cutting its heaviest internal MST edges (in the
 // strict total order) as long as both sides keep >= k members, recursively.
@@ -63,7 +75,8 @@ Partition RefinePartition(const graph::Wpg& graph, Partition partition,
                           uint32_t k);
 
 // Same semantics restricted to the subgraph induced by `subset`,
-// independently implemented (naive scan) as a test oracle.
+// independently implemented (naive scan) as a test oracle for both
+// CentralizedKClustering overloads.
 Partition ReferenceCentralizedKClustering(
     const graph::Wpg& graph, const std::vector<graph::VertexId>& subset,
     uint32_t k);

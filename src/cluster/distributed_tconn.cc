@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -320,12 +319,11 @@ util::Result<ClusterProposal> DistributedTConnClusterer::Propose(
     }
   }
 
-  // --- Step 3: all edge weights inside C are known to the host now; run
-  // the centralized partition and propose every resulting cluster.
-  // Production partitioner (Kruskal-freeze) restricted to C: filter the
-  // global partition is not possible locally, so run it on the induced
-  // subgraph by mapping C into a dense id space.
-  Partition partition = PartitionSubset(c_members);
+  // --- Step 3: all edge weights inside C are known to the host now, from
+  // the members' adjacency lists; run the centralized partition on C's
+  // induced subgraph and propose every resulting cluster.
+  Partition partition =
+      CentralizedKClustering(graph_, std::move(c_members), k_);
   for (size_t i = 0; i < partition.clusters.size(); ++i) {
     const bool valid = partition.clusters[i].size() >= k_;
     add_cluster(std::move(partition.clusters[i]), partition.connectivity[i],
@@ -333,31 +331,6 @@ util::Result<ClusterProposal> DistributedTConnClusterer::Propose(
   }
   proposal.members_lost = trace_.members_lost;
   return proposal;
-}
-
-Partition DistributedTConnClusterer::PartitionSubset(
-    std::vector<graph::VertexId> members) const {
-  // Build the induced subgraph with dense local ids, run the production
-  // centralized partitioner, and translate back. Sorting first makes the
-  // local id order agree with the global order, so EdgeKey tie-breaking --
-  // and therefore the partition -- matches what the centralized algorithm
-  // would produce on the full graph restricted to this subset.
-  std::sort(members.begin(), members.end());
-  std::unordered_map<graph::VertexId, uint32_t> local;
-  local.reserve(members.size());
-  for (uint32_t i = 0; i < members.size(); ++i) local[members[i]] = i;
-  graph::Wpg induced(static_cast<uint32_t>(members.size()));
-  for (const graph::Edge& e :
-       graph::InducedEdges(graph_, members)) {
-    induced.AddEdge(local.at(e.u), local.at(e.v), e.weight);
-  }
-  induced.SortAdjacencyByWeight();
-  Partition partition = CentralizedKClustering(induced, k_);
-  for (auto& cluster : partition.clusters) {
-    for (graph::VertexId& v : cluster) v = members[v];
-    std::sort(cluster.begin(), cluster.end());
-  }
-  return partition;
 }
 
 }  // namespace nela::cluster

@@ -35,7 +35,6 @@
 
 #include <vector>
 
-#include "cluster/centralized_tconn.h"
 #include "cluster/clusterer.h"
 #include "cluster/registry.h"
 #include "graph/wpg.h"
@@ -106,10 +105,6 @@ class DistributedTConnClusterer : public Clusterer {
   const Trace& last_trace() const { return trace_; }
 
  private:
-  // Step 3: the production centralized partition applied to the candidate
-  // set (with global-order-consistent tie-breaking).
-  Partition PartitionSubset(std::vector<graph::VertexId> members) const;
-
   const graph::Wpg& graph_;
   uint32_t k_;
   Registry* registry_;

@@ -49,11 +49,6 @@ class CrashPointScheduler {
     return fired_.has_value();
   }
 
-  std::optional<net::ProcessCrashPoint> fired() const EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return fired_;
-  }
-
  private:
   mutable util::Mutex mu_;
   std::array<uint64_t, 4> hits_ GUARDED_BY(mu_){};

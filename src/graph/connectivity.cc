@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <unordered_set>
 
 namespace nela::graph {
@@ -72,10 +73,33 @@ std::vector<std::vector<VertexId>> InducedComponents(
 
 std::vector<Edge> InducedEdges(const Wpg& graph,
                                const std::vector<VertexId>& vertices) {
-  std::unordered_set<VertexId> in_set(vertices.begin(), vertices.end());
+  std::vector<VertexId> members(vertices);
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  std::vector<Edge> edges = InducedLocalEdges(graph, members);
+  for (Edge& e : edges) {
+    e.u = members[e.u];
+    e.v = members[e.v];
+  }
+  return edges;
+}
+
+std::vector<Edge> InducedLocalEdges(const Wpg& graph,
+                                    const std::vector<VertexId>& members) {
+  NELA_CHECK(std::adjacent_find(members.begin(), members.end(),
+                                std::greater_equal<VertexId>()) ==
+             members.end());
   std::vector<Edge> out;
-  for (const Edge& e : graph.edges()) {
-    if (in_set.count(e.u) > 0 && in_set.count(e.v) > 0) out.push_back(e);
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    const VertexId u = members[i];
+    for (const HalfEdge& half : graph.Neighbors(u)) {
+      if (half.to <= u) continue;  // taken from its smaller endpoint
+      const auto it =
+          std::lower_bound(members.begin(), members.end(), half.to);
+      if (it == members.end() || *it != half.to) continue;
+      out.push_back(
+          Edge{i, static_cast<VertexId>(it - members.begin()), half.weight});
+    }
   }
   return out;
 }

@@ -43,9 +43,23 @@ bool IsInducedConnected(const Wpg& graph, const std::vector<VertexId>& vertices)
 std::vector<std::vector<VertexId>> InducedComponents(
     const Wpg& graph, const std::vector<VertexId>& vertices);
 
-// Edges of the subgraph induced by `vertices`.
+// Edges of the subgraph induced by `vertices` (any order; duplicates are
+// ignored). Walks each member's adjacency once, taking every edge from its
+// smaller endpoint, with a binary search in the sorted members per
+// half-edge: O(sum of member degrees x log |vertices|), whatever the size
+// of the whole graph. Each edge appears once, as Edge{u, v, weight} with
+// u < v -- the orientation BuildWpg stores; a FromEdges graph may store
+// (v, u) -- ordered by u ascending and then by u's adjacency order. That is
+// not edges() order: a caller that needs an order sorts by KeyOf.
 std::vector<Edge> InducedEdges(const Wpg& graph,
                                const std::vector<VertexId>& vertices);
+
+// InducedEdges over `members`, which must be sorted ascending and
+// distinct, with every endpoint given as its position in `members`. These
+// local ids order like the vertex ids they stand for, so KeyOf ranks the
+// local edges exactly as it ranks their originals.
+std::vector<Edge> InducedLocalEdges(const Wpg& graph,
+                                    const std::vector<VertexId>& members);
 
 }  // namespace nela::graph
 

@@ -1,17 +1,23 @@
 // Algorithm 1 tests: the Fig. 6 worked example, the equivalence of the
-// hierarchy-based implementation with the reference pseudocode, and the
-// clusterer adapter semantics.
+// hierarchy-based implementation with the reference pseudocode, the
+// induced-subgraph property test (label `proptest`), and the clusterer
+// adapter semantics.
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/centralized_tconn.h"
+#include "data/generators.h"
 #include "graph/connectivity.h"
 #include "graph/metrics.h"
 #include "graph/wpg.h"
+#include "graph/wpg_builder.h"
+#include "util/proptest.h"
 #include "util/rng.h"
 
 namespace nela::cluster {
@@ -263,6 +269,196 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{108, 25, 0, 4, 2},    // tree
                       FuzzParam{109, 80, 100, 6, 7},
                       FuzzParam{110, 10, 30, 2, 5}));
+
+// ------------------------------------------------ induced-subgraph property
+
+// The full scan the adjacency walk replaced: every stored edge with both
+// endpoints in `subset`, in edges() order and stored orientation.
+std::vector<Edge> ScanInducedEdges(const Wpg& graph,
+                                   const std::vector<VertexId>& subset) {
+  const std::set<VertexId> in(subset.begin(), subset.end());
+  std::vector<Edge> out;
+  for (const Edge& e : graph.edges()) {
+    if (in.count(e.u) > 0 && in.count(e.v) > 0) out.push_back(e);
+  }
+  return out;
+}
+
+std::vector<graph::EdgeKey> SortedKeys(const std::vector<Edge>& edges) {
+  std::vector<graph::EdgeKey> keys;
+  for (const Edge& e : edges) keys.push_back(KeyOf(e));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::vector<VertexId> SortedDistinct(std::vector<VertexId> vertices) {
+  std::sort(vertices.begin(), vertices.end());
+  vertices.erase(std::unique(vertices.begin(), vertices.end()),
+                 vertices.end());
+  return vertices;
+}
+
+// Step 3 as it ran before it read adjacency directly: scan for the induced
+// edges, build them into a Wpg over local ids, partition that whole graph,
+// and translate back.
+Partition PartitionBuiltSubgraph(const Wpg& graph,
+                                 const std::vector<VertexId>& subset,
+                                 uint32_t k) {
+  const std::vector<VertexId> members = SortedDistinct(subset);
+  auto local = [&members](VertexId v) {
+    return static_cast<VertexId>(
+        std::lower_bound(members.begin(), members.end(), v) -
+        members.begin());
+  };
+  Wpg induced(static_cast<uint32_t>(members.size()));
+  for (const Edge& e : ScanInducedEdges(graph, members)) {
+    induced.AddEdge(local(e.u), local(e.v), e.weight);
+  }
+  induced.SortAdjacencyByWeight();
+  Partition partition = CentralizedKClustering(induced, k);
+  for (auto& cluster : partition.clusters) {
+    for (VertexId& v : cluster) v = members[v];
+    std::sort(cluster.begin(), cluster.end());
+  }
+  return partition;
+}
+
+bool SamePartition(const Partition& a, const Partition& b) {
+  return a.clusters == b.clusters && a.connectivity == b.connectivity;
+}
+
+// Every induced-subgraph computation on `graph` restricted to `subset`
+// against the same computation on the oracle's edges: the Wpg holding
+// exactly the scanned induced edges, in stored orientation.
+std::optional<std::string> CheckInducedSubset(
+    const Wpg& graph, const std::vector<VertexId>& subset, uint32_t k) {
+  const std::vector<Edge> oracle = ScanInducedEdges(graph, subset);
+  const std::vector<Edge> induced = graph::InducedEdges(graph, subset);
+  if (SortedKeys(induced) != SortedKeys(oracle)) {
+    return "InducedEdges gave " + std::to_string(induced.size()) +
+           " edges, the full scan " + std::to_string(oracle.size());
+  }
+  for (const Edge& e : induced) {
+    if (e.u >= e.v) return "InducedEdges emitted an edge as (v, u)";
+  }
+  double oracle_mew = 0.0;
+  for (const Edge& e : oracle) oracle_mew = std::max(oracle_mew, e.weight);
+  if (graph::MaxEdgeWeightWithin(graph, subset) != oracle_mew) {
+    return "MaxEdgeWeightWithin differs from the oracle edges'";
+  }
+
+  auto built = Wpg::FromEdges(graph.vertex_count(), oracle);
+  if (!built.ok()) return "oracle edges do not form a graph";
+  const Wpg& oracle_graph = built.value();
+  const std::vector<VertexId> members = SortedDistinct(subset);
+  const Partition reference =
+      ReferenceCentralizedKClustering(graph, members, k);
+  const Partition oracle_reference =
+      ReferenceCentralizedKClustering(oracle_graph, members, k);
+  if (!SamePartition(reference, oracle_reference)) {
+    return "ReferenceCentralizedKClustering differs on the oracle edges";
+  }
+  const Partition first_disconnect =
+      LiteralFirstDisconnectKClustering(graph, subset, k);
+  const Partition oracle_first_disconnect =
+      LiteralFirstDisconnectKClustering(oracle_graph, subset, k);
+  if (!SamePartition(first_disconnect, oracle_first_disconnect)) {
+    return "LiteralFirstDisconnectKClustering differs on the oracle edges";
+  }
+  const Partition step3 = CentralizedKClustering(graph, subset, k);
+  if (!SamePartition(step3, PartitionBuiltSubgraph(graph, subset, k))) {
+    return "subset CentralizedKClustering differs from the built subgraph";
+  }
+  if (AsSet(step3) != AsSet(reference)) {
+    return "subset CentralizedKClustering differs from the reference";
+  }
+  return std::nullopt;
+}
+
+// Random subsets of an n-vertex graph: empty, a singleton, a draw with
+// duplicates, and the whole vertex set.
+std::vector<std::vector<VertexId>> RandomSubsets(util::Rng& rng, uint32_t n) {
+  std::vector<std::vector<VertexId>> subsets = {{}};
+  subsets.push_back({static_cast<VertexId>(rng.NextUint64(n))});
+  std::vector<VertexId> drawn;
+  const uint64_t draws = 1 + rng.NextUint64(2ull * n);
+  for (uint64_t i = 0; i < draws; ++i) {
+    drawn.push_back(static_cast<VertexId>(rng.NextUint64(n)));
+  }
+  subsets.push_back(std::move(drawn));
+  std::vector<VertexId> all(n);
+  for (uint32_t v = 0; v < n; ++v) all[v] = v;
+  rng.Shuffle(all);
+  subsets.push_back(all);
+  return subsets;
+}
+
+// Three graphs per case: one random edge set stored as (lo, hi) and again
+// as (hi, lo) in shuffled order, both through FromEdges, plus a BuildWpg
+// graph over random users. The two orientations of one edge set must also
+// give identical results.
+std::optional<std::string> InducedSubgraphsMatchFullScan(util::Rng& rng,
+                                                         uint32_t size) {
+  const uint32_t n = 2 + size;
+  const uint64_t weights = 1 + rng.NextUint64(6);  // few weights: many ties
+  std::set<std::pair<VertexId, VertexId>> pairs;
+  const uint64_t edge_draws = rng.NextUint64(3ull * n);
+  for (uint64_t i = 0; i < edge_draws; ++i) {
+    const auto a = static_cast<VertexId>(rng.NextUint64(n));
+    const auto b = static_cast<VertexId>(rng.NextUint64(n));
+    if (a != b) pairs.insert({std::min(a, b), std::max(a, b)});
+  }
+  std::vector<Edge> forward;
+  std::vector<Edge> backward;
+  for (const auto& [lo, hi] : pairs) {
+    const double w = static_cast<double>(1 + rng.NextUint64(weights));
+    forward.push_back(Edge{lo, hi, w});
+    backward.push_back(Edge{hi, lo, w});
+  }
+  rng.Shuffle(backward);
+  auto lo_hi = Wpg::FromEdges(n, forward);
+  auto hi_lo = Wpg::FromEdges(n, backward);
+  if (!lo_hi.ok() || !hi_lo.ok()) return "FromEdges rejected the edge set";
+
+  graph::WpgBuildParams params;
+  params.delta = rng.NextDouble(0.05, 0.4);
+  params.max_peers = 1 + static_cast<uint32_t>(rng.NextUint64(10));
+  auto built = graph::BuildWpg(data::GenerateUniform(n, rng), params);
+  if (!built.ok()) return "BuildWpg failed";
+
+  const uint32_t k = 1 + static_cast<uint32_t>(rng.NextUint64(5));
+  for (const auto& subset : RandomSubsets(rng, n)) {
+    for (const Wpg* graph : {&lo_hi.value(), &hi_lo.value(), &built.value()}) {
+      if (auto failure = CheckInducedSubset(*graph, subset, k)) {
+        return *failure + " (k=" + std::to_string(k) +
+               ", |subset|=" + std::to_string(subset.size()) + ")";
+      }
+    }
+    const std::vector<VertexId> members = SortedDistinct(subset);
+    const bool same_reference = SamePartition(
+        ReferenceCentralizedKClustering(lo_hi.value(), members, k),
+        ReferenceCentralizedKClustering(hi_lo.value(), members, k));
+    const bool same_step3 =
+        SamePartition(CentralizedKClustering(lo_hi.value(), subset, k),
+                      CentralizedKClustering(hi_lo.value(), subset, k));
+    if (!same_reference || !same_step3) {
+      return "edge orientation changed a partition";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(InducedSubgraphProptest, AdjacencyWalkMatchesFullScan) {
+  util::PropSpec spec;
+  spec.name = "InducedSubgraphProptest";
+  spec.base_seed = 0x1d0ced5ab9a9b5ull;
+  spec.iterations = 60;  // CI elevates via NELA_PROPTEST_ITERS
+  spec.min_size = 1;
+  spec.max_size = 40;
+  auto failure = util::RunProperty(spec, InducedSubgraphsMatchFullScan);
+  ASSERT_FALSE(failure.has_value()) << failure->message << "\n"
+                                    << failure->repro;
+}
 
 // --------------------------------------------------------------- adapter
 
